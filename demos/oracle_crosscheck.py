@@ -8,7 +8,7 @@ exact rational homology.  This demo sweeps every connected closed graph on
 up to 5 vertices and prints both verdicts side by side, then tabulates the
 two-clique depth formula depth = n + a - b + 1.
 
-Run:  python3 demos/oracle_crosscheck.py   (about a minute)
+Run:  python3 demos/oracle_crosscheck.py   (about a second)
 """
 
 import time

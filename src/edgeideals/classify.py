@@ -59,8 +59,11 @@ class Classification:
     krull_dim: int
 
     def __post_init__(self):
-        assert not self.cm or (self.scm and self.almost_cm and self.unmixed)
-        assert self.approx_cm == self.almost_cm
+        # explicit raises, so that the invariants also hold under python -O
+        if self.cm and not (self.scm and self.almost_cm and self.unmixed):
+            raise AssertionError("cm must imply scm, almost_cm and unmixed")
+        if self.approx_cm != self.almost_cm:
+            raise AssertionError("approx_cm must equal almost_cm on closed graphs")
 
 
 def is_cm_closed(F: IntervalFacets) -> bool:

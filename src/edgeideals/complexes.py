@@ -21,12 +21,25 @@ the void complex (no faces at all) has none anywhere.  Vertices of a
 complex live in {1..n_vertices}; vertices in no facet are ghosts and are
 reported, not guessed about.
 
+Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
+every face sigma of K (the empty face included) has a link with no reduced
+homology below degree t - |sigma|.  It checks K itself, then recurses on
+the vertex links with t - 1.  Reisner is the case "pure, t = dim".  Duval's
+sequential CM criterion (every pure i-skeleton is CM) is the case t = i on
+the subcomplex generated by the facets with more than i vertices, so the
+skeletons are never built.  Results are memoised per (facets, t, face cap)
+and homology profiles per (facets, face cap): a call's answer, or its
+ResourceCapError, does not depend on the calls made before it.
+
 Depth is computed by the projective-dimension sweep over vertex subsets
 (reduced homology of induced subcomplexes in shifted degrees), descending
 by subset size so the scan can stop as soon as smaller subsets cannot beat
 the best contribution found.  When the complex is flag, induced
 subcomplexes factor as joins over the connected components of the induced
-non-edge graph, and the sweep works per factor with memoization.
+non-edge graph, and the sweep works per factor with memoization.  The
+sweep never looks at links, so depth against Reisner and the oracle's
+Goodarzi filtration check (depth of each facet-size truncation) against
+Duval compare independent code paths.
 """
 
 from __future__ import annotations
@@ -262,7 +275,9 @@ def _betti_from_faces(faces: set[int]) -> dict[int, int]:
     return out
 
 
-_profile_cache: dict[frozenset[int], dict[int, int]] = {}
+# Keyed with the face cap, so that a call's result or its ResourceCapError
+# does not depend on which calls ran before it.
+_profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 
 def _group_betti(group: list[int], cap: int) -> dict[int, int]:
@@ -291,7 +306,7 @@ def _group_betti(group: list[int], cap: int) -> dict[int, int]:
 
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets."""
-    hit = _profile_cache.get(facets_key)
+    hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
     if not facets_key:
@@ -319,7 +334,7 @@ def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> d
                 result[d] = result.get(d, 0) + b
         if len(groups) > 1:
             result[0] = result.get(0, 0) + len(groups) - 1
-    _profile_cache[facets_key] = result
+    _profile_cache[(facets_key, cap)] = result
     return result
 
 
@@ -407,55 +422,70 @@ def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
 
 # -- Reisner / Duval criteria ---------------------------------------------------
 
-_cm_cache: dict[frozenset[int], bool] = {}
+_cm_cache: dict[tuple[frozenset[int], int, int], bool] = {}
 
 
-def _is_cm_masks(facets_key: frozenset[int], cap: int) -> bool:
-    hit = _cm_cache.get(facets_key)
+def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
+    """Whether H_j(lk sigma) = 0 for every face sigma (the empty face too)
+    and every -1 <= j < t - |sigma| (reduced homology over Q).
+
+    The empty face asks this of the complex itself; a vertex link, checked
+    with t - 1, asks it of every face through that vertex, because links of
+    links are links.  Memoised on (facets, t, cap).
+    """
+    if t <= -1:
+        return True
+    if t == 0:
+        return facets_key != frozenset({0})  # only degree -1 is asked for
+    key = (facets_key, t, cap)
+    hit = _cm_cache.get(key)
     if hit is not None:
         return hit
-    result = _cm_compute(facets_key, cap)
-    _cm_cache[facets_key] = result
+    result = not any(d < t and b for d, b in _profile_masks(facets_key, cap).items())
+    if result:
+        support = 0
+        for m in facets_key:
+            support |= m
+        for b in bits(support):
+            v = 1 << b
+            # facets through v, minus v, are already pairwise incomparable
+            lk = frozenset(f & ~v for f in facets_key if f & v)
+            if not _links_acyclic(lk, t - 1, cap):
+                result = False
+                break
+    _cm_cache[key] = result
     return result
-
-
-def _cm_compute(facets_key: frozenset[int], cap: int) -> bool:
-    if not facets_key or facets_key == frozenset({0}):
-        return True
-    sizes = {m.bit_count() for m in facets_key}
-    if len(sizes) > 1:
-        return False  # Cohen-Macaulay complexes are pure
-    dim = sizes.pop() - 1
-    profile = _profile_masks(facets_key, cap)
-    if any(d < dim and b for d, b in profile.items()):
-        return False
-    support = 0
-    for m in facets_key:
-        support |= m
-    for b in bits(support):
-        v = 1 << b
-        lk = _prune_to_maximal(f & ~v for f in facets_key if f & v)
-        if not _is_cm_masks(lk, cap):
-            return False
-    return True
 
 
 def is_cm_reisner(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
     """Reisner criterion over Q: every face's link has homology only in top degree.
 
-    Implemented as: the complex is pure, its own reduced homology vanishes
-    below its dimension, and every vertex link satisfies the same predicate
-    recursively (links of links realize links of all faces).
+    Implemented as: the complex is pure of dimension d, and every face sigma
+    has a link whose reduced homology vanishes below d - |sigma|.
     """
-    return _is_cm_masks(C.mask_key, max_faces)
+    sizes = {m.bit_count() for m in C.mask_key}
+    if len(sizes) > 1:
+        return False  # Cohen-Macaulay complexes are pure
+    return not sizes or _links_acyclic(C.mask_key, sizes.pop() - 1, max_faces)
 
 
 def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
-    """Duval criterion: every pure i-skeleton is Cohen-Macaulay, 0 <= i <= dim."""
+    """Duval's criterion in link form: every pure i-skeleton is Cohen-Macaulay.
+
+    The pure i-skeleton is the i-skeleton of the subcomplex generated by
+    the facets with more than i vertices.  Truncating to the i-skeleton
+    keeps homology below degree i and commutes with taking links, so the
+    skeleton is CM iff every face sigma of that subcomplex has a link with
+    no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009).
+    The skeleton itself is never built.  Goodarzi's filtration criterion
+    in the oracle reaches the same verdict through the independent Hochster
+    depth sweep.
+    """
     if C.is_void:
         raise ValueError("void complex")
     for i in range(0, C.dim + 1):
-        if not _is_cm_masks(pure_skeleton(C, i).mask_key, max_faces):
+        kept = frozenset(m for m in C.mask_key if m.bit_count() > i)
+        if not _links_acyclic(kept, i, max_faces):
             return False
     return True
 

@@ -5,9 +5,16 @@ an edge) are a Groebner basis for the lexicographic order with
 x_1 > ... > x_n > y_1 > ... > y_n, so the initial ideal is the squarefree
 quadratic monomial ideal (x_i y_j : {i,j} an edge, i < j).  This module
 builds its Stanley-Reisner complex on 2n vertices and computes dimension,
-depth, Cohen-Macaulayness (Reisner), sequential CM-ness (Duval, with
-Goodarzi's filtration criterion recorded independently), and the derived
+depth, Cohen-Macaulayness (Reisner), sequential CM-ness and the derived
 almost/approximately-CM verdicts, all by exact rational homology.
+
+Sequential CM-ness is decided twice, by two independent code paths.
+Duval's criterion runs in link form: for each i, the subcomplex generated
+by the facets with more than i vertices must have no reduced homology in
+any face link below degree i - |face|.  Goodarzi's filtration criterion
+asks the same subcomplexes for depth >= i + 1, computed by the Hochster
+vertex-subset sweep, which never looks at links.  Likewise Reisner's CM
+verdict (links) is checked against depth == dim (Auslander-Buchsbaum).
 
 The oracle certifies invariants of the initial ideal.  Carrying them back
 to the binomial ideal itself uses the standard transfer theorem for
@@ -38,10 +45,10 @@ from .graphs import Graph, bits
 class OracleReport:
     """Homological verdicts for S/in(J_G) in 2n variables.
 
-    scm is Duval's skeleton criterion; scm_goodarzi is the filtration
-    criterion, recorded separately (their agreement is a checked invariant,
-    not an assumption).  almost_cm is depth >= dim - 1 and approx_cm is
-    almost_cm together with scm.
+    scm is Duval's criterion in link form; scm_goodarzi is the filtration
+    criterion through the Hochster depth sweep, recorded separately (their
+    agreement is a checked invariant, not an assumption).  almost_cm is
+    depth >= dim - 1 and approx_cm is almost_cm together with scm.
     """
 
     dim_quotient: int
@@ -53,10 +60,15 @@ class OracleReport:
     approx_cm: bool
 
     def __post_init__(self):
-        assert self.depth <= self.dim_quotient
-        assert self.cm == (self.depth == self.dim_quotient)
-        assert self.almost_cm == (self.depth >= self.dim_quotient - 1)
-        assert self.approx_cm == (self.almost_cm and self.scm)
+        # explicit raises, so that the invariants also hold under python -O
+        if self.depth > self.dim_quotient:
+            raise AssertionError(f"depth {self.depth} exceeds dimension {self.dim_quotient}")
+        if self.cm != (self.depth == self.dim_quotient):
+            raise AssertionError("cm must mean depth == dim")
+        if self.almost_cm != (self.depth >= self.dim_quotient - 1):
+            raise AssertionError("almost_cm must mean depth >= dim - 1")
+        if self.approx_cm != (self.almost_cm and self.scm):
+            raise AssertionError("approx_cm must mean almost_cm and scm")
 
 
 def initial_ideal_generators(F: IntervalFacets) -> frozenset[tuple[int, int]]:
@@ -105,7 +117,8 @@ def stanley_reisner_complex(gens, n: int) -> SimplicialComplex:
     support = 0
     for f in out:
         support |= f
-    assert support == full, "quadratic generators must leave every vertex a face"
+    if support != full:
+        raise AssertionError("quadratic generators must leave every vertex a face")
     return SimplicialComplex.from_faces(m, [tuple(b + 1 for b in bits(f)) for f in out])
 
 

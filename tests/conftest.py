@@ -1,10 +1,11 @@
 """Shared fixtures: showcase graphs and small brute-force oracles."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from edgeideals.closed import IntervalFacets, build_graph
+from edgeideals.complexes import SimplicialComplex, link, pure_skeleton, reduced_homology
 from edgeideals.graphs import Graph, from_edge_list
 
 
@@ -67,3 +68,29 @@ def all_graphs(n: int):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for code in range(1 << len(pairs)):
         yield from_edge_list(n, [pairs[k] for k in range(len(pairs)) if (code >> k) & 1])
+
+
+def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
+    """Reference Reisner check, read literally off the definition.
+
+    C is pure of dimension d, and for every face sigma (the empty face
+    included) the reduced homology of link(sigma) vanishes below d - |sigma|.
+    Every face is enumerated and every link is built explicitly.
+    """
+    if C.is_void:
+        return True
+    d = C.dim
+    if any(len(f) != d + 1 for f in C.facets):
+        return False
+    faces = {frozenset(s) for f in C.facets for k in range(len(f) + 1)
+             for s in combinations(sorted(f), k)}
+    for sigma in faces:
+        nz = reduced_homology(link(C, sigma)).nonzero()
+        if any(j < d - len(sigma) for j in nz):
+            return False
+    return True
+
+
+def is_scm_duval_ref(C: SimplicialComplex) -> bool:
+    """Reference Duval check: every pure i-skeleton, built explicitly, is CM."""
+    return all(is_cm_reisner_ref(pure_skeleton(C, i)) for i in range(C.dim + 1))

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeideals.complexes import (
     SimplicialComplex,
@@ -17,6 +19,8 @@ from edgeideals.complexes import (
     reduced_homology,
 )
 from edgeideals.errors import ResourceCapError
+
+from conftest import is_cm_reisner_ref, is_scm_duval_ref
 
 
 def cx(n, *facets):
@@ -139,6 +143,69 @@ def test_duval_examples():
     assert is_scm_duval(cx(4, (1, 2, 3), (3, 4)))
     assert not is_scm_duval(cx(4, (1, 2), (3, 4)))
     assert is_scm_duval(cx(5, (1, 2, 3, 4, 5)))
+
+
+@st.composite
+def mixed_complexes(draw):
+    """Up to three pieces on disjoint vertex blocks, each with facets of mixed
+    sizes, plus isolated vertices and possibly a ghost vertex."""
+    block = 5
+    pieces = draw(st.lists(
+        st.lists(st.sets(st.integers(1, block), min_size=1), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    isolated = draw(st.integers(0, 2))
+    ghosts = draw(st.integers(0, 1))
+    faces = [tuple(k * block + v for v in f) for k, piece in enumerate(pieces) for f in piece]
+    n = len(pieces) * block
+    faces += [(n + k + 1,) for k in range(isolated)]
+    return SimplicialComplex.from_faces(n + isolated + ghosts, faces)
+
+
+def _with_small_cases(test):
+    for C in [
+        cx(5, (1, 2, 3), (4,), (5,)),        # triangle plus isolated points: SCM
+        cx(5, (1, 2, 3), (3, 4), (4, 5)),    # triangle with a tail: SCM, not pure
+        cx(5, (1, 2, 3), (4, 5)),            # triangle beside an edge: not SCM
+        cx(6, (1, 2, 3), (4, 5, 6)),         # two disjoint triangles
+        cx(3, ()),                           # the complex {emptyset}
+        simplex_boundary(3),
+    ]:
+        test = example(C)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@_with_small_cases
+@given(mixed_complexes())
+def test_duval_link_form_matches_pure_skeleton_reference(C):
+    assert is_scm_duval(C) == is_scm_duval_ref(C)
+
+
+@settings(max_examples=200, deadline=None)
+@_with_small_cases
+@given(mixed_complexes())
+def test_reisner_matches_reference(C):
+    assert is_cm_reisner(C) == is_cm_reisner_ref(C)
+
+
+def test_caps_do_not_depend_on_call_history():
+    # the default-cap call in between must not leave a cached answer that
+    # lets the capped call skip its face enumeration
+    sphere = simplex_boundary(6)  # 7 facets of 6 vertices, well over 64 faces
+    checks = [
+        lambda cap: reduced_homology(sphere, max_faces=cap),
+        lambda cap: is_cm_reisner(sphere, max_faces=cap),
+        lambda cap: is_scm_duval(sphere, max_faces=cap),
+    ]
+    for check in checks:
+        with pytest.raises(ResourceCapError):
+            check(64)
+        check(1 << 20)
+        with pytest.raises(ResourceCapError):
+            check(64)
+    assert reduced_homology(sphere).nonzero() == {5: 1}
+    assert is_cm_reisner(sphere) and is_scm_duval(sphere)
 
 
 def test_depth_simple_cases():

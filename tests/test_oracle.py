@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import edgeideals
 from edgeideals.classify import classify_facets
 from edgeideals.closed import IntervalFacets
 from edgeideals.complexes import depth_hochster, is_cm_reisner, is_scm_duval
@@ -136,3 +142,36 @@ def test_oracle_disconnected_unions_agree_with_classifier():
             r.cm, r.scm, r.almost_cm, r.approx_cm, r.dim_quotient,
         ), (F1.facets, F2.facets)
         assert r.scm == r.scm_goodarzi
+
+
+def test_report_invariants_hold_under_python_O():
+    # -O strips assert statements; the record invariants must still raise
+    script = textwrap.dedent("""
+        import sys
+        from edgeideals.oracle import OracleReport
+        from edgeideals.classify import classify_facets
+        from edgeideals.closed import IntervalFacets
+        import dataclasses
+        assert False, "this line is stripped under -O"
+        try:
+            OracleReport(dim_quotient=4, depth=4, cm=False, scm=True,
+                         scm_goodarzi=True, almost_cm=True, approx_cm=True)
+        except AssertionError:
+            pass
+        else:
+            sys.exit("inconsistent OracleReport accepted")
+        good = classify_facets(IntervalFacets(3, ((1, 3),)))
+        try:
+            dataclasses.replace(good, approx_cm=not good.almost_cm)
+        except AssertionError:
+            pass
+        else:
+            sys.exit("inconsistent Classification accepted")
+    """)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(edgeideals.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
