@@ -132,7 +132,3 @@ def random_closed(n: int, seed: int, density_bias: float = 0.5) -> IntervalFacet
         chain.append((a, b2))
         b = b2
     return IntervalFacets(n, tuple(chain))
-
-
-def count_closed_connected(n: int) -> int:
-    return sum(1 for _ in enumerate_closed_connected(n))

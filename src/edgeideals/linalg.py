@@ -82,7 +82,7 @@ def rank_bareiss(rows) -> int:
     return rank
 
 
-def rank_sparse_pm(cols: dict[int, dict[int, int]], _nrows: int | None = None) -> int:
+def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
     """Rank of a sparse integer matrix given column-major as {col: {row: val}}.
 
     Unit (+-1) pivots are eliminated first with unimodular row operations;

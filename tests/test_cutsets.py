@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.cutsets import (
     CutSetRecord,
+    _component_count_table,
     cutsets_bruteforce,
     cutsets_closed,
     cutsets_structural,
@@ -12,9 +17,15 @@ from edgeideals.cutsets import (
 )
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import from_edge_list
+from edgeideals.graphs import (
+    bits,
+    component_masks,
+    connected_components,
+    delete_vertices,
+    from_edge_list,
+)
 
-from conftest import SEVEN_NOT_SCM, complete_graph, path_graph
+from conftest import SEVEN_NOT_SCM, all_graphs, complete_graph, path_graph
 
 
 def as_map(records):
@@ -141,3 +152,87 @@ def test_cutsets_closed_disconnected():
 def test_record_sorting_is_canonical(seven_graph):
     recs = cutsets_bruteforce(seven_graph)
     assert list(recs) == sorted(recs, key=CutSetRecord.sort_key)
+
+
+# Literal references for the exhaustive sweep: every subgraph is carved out
+# with delete_vertices and its components counted from scratch.
+
+def component_count_ref(G, m):
+    return len(component_masks(delete_vertices(G, G.full_mask & ~m)))
+
+
+def neighbourhood_ref(G, m):
+    out = 0
+    for b in bits(m):
+        out |= G.adj[b + 1]
+    return out
+
+
+def cutsets_ref(G):
+    """{W: (c, dim, parts)} by the removal test, read off the definition."""
+    memo = {}
+
+    def parts_of(W):
+        if W not in memo:
+            memo[W] = connected_components(delete_vertices(G, W))
+        return memo[W]
+
+    out = {}
+    for k in range(G.n + 1):
+        for W in combinations(range(1, G.n + 1), k):
+            c = len(parts_of(W))
+            drops = [len(parts_of(tuple(u for u in W if u != v))) < c for v in W]
+            if all(drops):
+                out[W] = (c, G.n - k + c, parts_of(W))
+    return out
+
+
+def check_tables(G):
+    comp, nb = _component_count_table(G)
+    assert isinstance(comp, bytearray) and len(comp) == 1 << G.n
+    assert nb.typecode == "I" and len(nb) == 1 << G.n
+    for m in range(1 << G.n):
+        assert comp[m] == component_count_ref(G, m), (G.edges(), m)
+        assert nb[m] == neighbourhood_ref(G, m), (G.edges(), m)
+
+
+def test_component_count_table_exhaustive_small():
+    for n in range(1, 6):
+        for G in all_graphs(n):
+            check_tables(G)
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on up to 10 vertices; sparse draws leave isolated vertices and
+    several components."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@example(from_edge_list(10, [(1, 2), (2, 3), (5, 6), (6, 7), (5, 7), (9, 10)]))
+@example(from_edge_list(10, []))
+@given(random_graphs())
+def test_component_count_table_matches_reference(G):
+    check_tables(G)
+
+
+def test_bruteforce_matches_removal_test_reference_exhaustive():
+    # every graph with n <= 5, closed or not
+    for n in range(1, 6):
+        for G in all_graphs(n):
+            got = {r.W: (r.c, r.dim, r.parts) for r in cutsets_bruteforce(G)}
+            assert got == cutsets_ref(G), G.edges()
+
+
+def test_bruteforce_reports_parent_labels():
+    # an induced subgraph keeps its parent's names in W and in the parts
+    H = delete_vertices(path_graph(6), [1, 4])  # paths 2-3 and 5-6
+    got = {r.W: r.parts for r in cutsets_bruteforce(H)}
+    assert got == {(): ((2, 3), (5, 6))}
+    H = delete_vertices(path_graph(5), [1])  # path 2-3-4-5
+    got = {r.W: r.parts for r in cutsets_bruteforce(H)}
+    assert got == {(): ((2, 3, 4, 5),), (3,): ((2,), (4, 5)), (4,): ((2, 3), (5,))}
