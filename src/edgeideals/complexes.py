@@ -8,13 +8,15 @@ huge but overwhelmingly contractible:
   * split into vertex-disjoint pieces (homology adds, with the usual
     correction in degree 0),
   * skip pieces with a cone point (a vertex lying in every facet),
-  * elementary collapses (repeatedly remove a face whose only strict
-    coface is a single facet one dimension up).
+  * strong collapses on the facet list (delete a vertex whose facets all
+    share another vertex, prune to maximal facets, repeat; Barmak-Minian
+    2012).  A piece that collapses to a cone is contractible; otherwise
+    only the faces of the core reach the boundary matrices.
 
 Every matrix-path computation asserts the Euler identity: the alternating
 sum of the computed Betti numbers must equal the reduced Euler
-characteristic of the *original* face vector, which catches reduction bugs
-at the source.
+characteristic of the face vector of the piece *before* the collapses,
+which catches reduction bugs at the source.
 
 Conventions: the complex {emptyset} has reduced homology Q in degree -1;
 the void complex (no faces at all) has none anywhere.  Vertices of a
@@ -31,24 +33,30 @@ skeletons are never built.  Results are memoised per (facets, t, face cap)
 and homology profiles per (facets, face cap): a call's answer, or its
 ResourceCapError, does not depend on the calls made before it.
 
-Depth is computed by the projective-dimension sweep over vertex subsets
-(reduced homology of induced subcomplexes in shifted degrees), descending
-by subset size so the scan can stop as soon as smaller subsets cannot beat
-the best contribution found.  When the complex is flag, induced
-subcomplexes factor as joins over the connected components of the induced
-non-edge graph, and the sweep works per factor with memoization.  The
-sweep never looks at links, so depth against Reisner and the oracle's
-Goodarzi filtration check (depth of each facet-size truncation) against
-Duval compare independent code paths.
+Depth is computed by the projective-dimension sweep of Hochster's formula
+over the LCM lattice of the face ideal: the unions of minimal nonfaces
+(Gasharov-Peeva-Welker 1999).  Every other vertex subset restricts to a
+cone and contributes nothing.  The minimal nonfaces are the minimal
+transversals of the facet complements (Berge's algorithm); one pass over
+the subsets of their vertices tables which subsets are such unions, and
+the sweep visits those by descending size, stopping as soon as smaller
+subsets cannot beat the best contribution found.  A restriction is the
+join of its restrictions to the connected components of the 2-section
+graph of the minimal nonfaces inside the subset, so the sweep computes
+homology per component, with memoization, and adds the degrees.  The sweep
+never looks at links, so depth against Reisner and the oracle's Goodarzi
+filtration check (depth of each facet-size truncation) against Duval
+compare independent code paths.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ResourceCapError
-from .graphs import bits
+from .graphs import bits, mask_of
 from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -104,14 +112,8 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n_vertices: int, faces) -> "SimplicialComplex":
         """Complex generated by an arbitrary family of faces."""
-        masks = []
-        for f in faces:
-            m = 0
-            for v in f:
-                m |= 1 << (v - 1)
-            masks.append(m)
         return cls(n_vertices, frozenset(
-            frozenset(b + 1 for b in bits(m)) for m in _prune_to_maximal(masks)
+            frozenset(b + 1 for b in bits(m)) for m in _prune_to_maximal(map(mask_of, faces))
         ))
 
     @property
@@ -140,9 +142,7 @@ class SimplicialComplex:
         return tuple(v for v in range(1, self.n_vertices + 1) if not (s >> (v - 1)) & 1)
 
     def has_face(self, face) -> bool:
-        m = 0
-        for v in face:
-            m |= 1 << (v - 1)
+        m = mask_of(face)
         return any(m & f == m for f in self._mask_key)
 
     def f_vector(self, max_faces: int = DEFAULT_FACE_CAP) -> dict[int, int]:
@@ -179,58 +179,55 @@ class HomologyProfile:
 def _faces_of(facet_masks, cap: int) -> set[int]:
     faces: set[int] = set()
     for fm in facet_masks:
-        vs = [b for b in bits(fm)]
-        k = len(vs)
-        if (1 << k) > cap:  # one facet alone contributes 2^k distinct faces
+        if (1 << fm.bit_count()) > cap:  # one facet alone has 2^|facet| distinct faces
             raise ResourceCapError(f"face count exceeds cap {cap}")
-        for sz in range(k + 1):
-            for combo in combinations(vs, sz):
-                m = 0
-                for b in combo:
-                    m |= 1 << b
-                faces.add(m)
+        subs = [0]
+        for b in bits(fm):
+            v = 1 << b
+            subs += [s | v for s in subs]
+        faces.update(subs)
         if len(faces) > cap:
             raise ResourceCapError(f"face count exceeds cap {cap}")
-    if facet_masks:
-        faces.add(0)
     return faces
 
 
-def _collapse(faces: set[int], support: int) -> set[int]:
-    """Remove free pairs (sigma, tau) until none remain; homotopy type kept.
+def _is_cone(facet_masks) -> bool:
+    """Whether some vertex lies in every one of the (nonempty list of) facets."""
+    acc = ~0
+    for m in facet_masks:
+        acc &= m
+    return bool(acc)
 
-    sigma (nonempty) is free when exactly one face one dimension up contains
-    it and no larger face does, which for a face set closed under subsets is
-    equivalent to having exactly one coface of size |sigma| + 1.
+
+def _strong_collapse(facet_masks) -> list[int]:
+    """Facets of the core left by deleting dominated vertices one at a time.
+
+    v is dominated when the facets through v all contain another vertex;
+    deleting it (a strong collapse) keeps the homotopy type.  The facets
+    through v lose v and survive unless a facet without v contains them;
+    they cannot contain one another, since their facets did not.
     """
-    faces = set(faces)
-    work = sorted(faces, key=lambda m: -m.bit_count())
-    sup_bits = list(bits(support))
-    stack = list(work)
-    while stack:
-        sigma = stack.pop()
-        if sigma == 0 or sigma not in faces:
-            continue
-        tau = None
-        count = 0
-        for b in sup_bits:
-            up = sigma | (1 << b)
-            if up != sigma and up in faces:
-                count += 1
-                if count > 1:
-                    break
-                tau = up
-        if count != 1:
-            continue
-        faces.discard(sigma)
-        faces.discard(tau)
-        for b in bits(sigma):
-            stack.append(sigma ^ (1 << b))
-        for b in bits(tau):
-            down = tau ^ (1 << b)
-            if down in faces:
-                stack.append(down)
-    return faces
+    facets = list(facet_masks)
+    changed = True
+    while changed:
+        changed = False
+        support = 0
+        for f in facets:
+            support |= f
+        for b in bits(support):
+            v = 1 << b
+            shared = support
+            for f in facets:
+                if f & v:
+                    shared &= f
+            if shared != v:
+                rest = [f for f in facets if not f & v]
+                facets = rest + [
+                    g for g in (f ^ v for f in facets if f & v)
+                    if not any(g & f == g for f in rest)
+                ]
+                changed = True
+    return facets
 
 
 def _boundary_columns(faces_by_dim: dict[int, list[int]], d: int) -> dict[int, dict[int, int]]:
@@ -281,21 +278,13 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 
 def _group_betti(group: list[int], cap: int) -> dict[int, int]:
-    full = 0
-    acc = ~0
-    for m in group:
-        full |= m
-        acc &= m
-    if acc:
-        return {}  # cone point: contractible
+    if _is_cone(group):
+        return {}
     faces = _faces_of(group, cap)
-    fvec: dict[int, int] = {}
-    for f in faces:
-        d = f.bit_count() - 1
-        fvec[d] = fvec.get(d, 0) + 1
-    core = _collapse(faces, full)
-    betti = _betti_from_faces(core)
-    euler_faces = sum(c if d % 2 == 0 else -c for d, c in fvec.items())
+    # reduced Euler characteristic of the piece before the collapses
+    euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
+    core = _strong_collapse(group)
+    betti = {} if _is_cone(core) else _betti_from_faces(_faces_of(core, cap))
     euler_betti = sum(b if d % 2 == 0 else -b for d, b in betti.items())
     if euler_faces != euler_betti:
         raise AssertionError(
@@ -372,13 +361,6 @@ def boundary_matrices(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -
 # -- links, restrictions, skeletons --------------------------------------------
 
 
-def _mask_of_face(face) -> int:
-    m = 0
-    for v in face:
-        m |= 1 << (v - 1)
-    return m
-
-
 def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
     return SimplicialComplex(
         n_vertices, frozenset(frozenset(b + 1 for b in bits(m)) for m in masks)
@@ -387,7 +369,7 @@ def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
 
 def link(C: SimplicialComplex, face) -> SimplicialComplex:
     """link(sigma) = {tau : tau disjoint from sigma, tau union sigma a face}."""
-    sigma = _mask_of_face(face)
+    sigma = mask_of(face)
     if not any(sigma & f == sigma for f in C.mask_key):
         raise ValueError(f"{sorted(face)} is not a face of the complex")
     masks = [f & ~sigma for f in C.mask_key if f & sigma == sigma]
@@ -396,7 +378,7 @@ def link(C: SimplicialComplex, face) -> SimplicialComplex:
 
 def induced_subcomplex(C: SimplicialComplex, vertices) -> SimplicialComplex:
     """Faces of C contained in the given vertex set (same universe)."""
-    sigma = _mask_of_face(vertices)
+    sigma = mask_of(vertices)
     return _from_masks(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
 
 
@@ -493,56 +475,38 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
 # -- depth via the projective-dimension sweep -----------------------------------
 
 
-def _flag_nonedge_adj(C: SimplicialComplex) -> dict[int, int] | None:
-    """If C is a flag complex, the adjacency masks of its non-edge graph.
+def _minimal_nonfaces(facet_masks) -> list[int]:
+    """Minimal nonfaces (as masks) of the complex with the given facets.
 
-    C is flag when its faces are exactly the independent sets of the graph
-    H whose edges are the non-face vertex pairs of the support.  Verified by
-    enumerating the maximal independent sets of H and comparing to facets.
+    A subset of the support is a nonface exactly when it meets the
+    complement of every facet, so the minimal nonfaces are the minimal
+    transversals of the facet complements.  Berge's algorithm adds one
+    complement at a time: a transversal that meets it stays; one that
+    misses it grows by each vertex of the complement, and the grown set is
+    minimal unless it contains a transversal that stayed.  For a flag
+    complex the result is exactly its non-edges.
     """
-    support = list(bits(C.support_mask()))
-    adj: dict[int, int] = {b: 0 for b in support}
-    for i, u in enumerate(support):
-        for w in support[i + 1:]:
-            pair = (1 << u) | (1 << w)
-            if not any(pair & f == pair for f in C.mask_key):
-                adj[u] |= 1 << w
-                adj[w] |= 1 << u
-    # maximal independent sets of H by complement-clique search
-    out: list[int] = []
-    full = 0
-    for b in support:
-        full |= 1 << b
-    comp_adj = {b: full & ~adj[b] & ~(1 << b) for b in support}
-
-    def bk(R: int, P: int, X: int):
-        if P == 0 and X == 0:
-            out.append(R)
-            return
-        pivot, best = -1, -1
-        for b in bits(P | X):
-            d = (P & comp_adj[b]).bit_count()
-            if d > best:
-                best, pivot = d, b
-        for b in bits(P & ~comp_adj[pivot]):
-            v = 1 << b
-            bk(R | v, P & comp_adj[b], X & comp_adj[b])
-            P &= ~v
-            X |= v
-
-    bk(0, full, 0)
-    return adj if frozenset(out) == C.mask_key else None
+    support = 0
+    for f in facet_masks:
+        support |= f
+    trans = [0]
+    for f in facet_masks:
+        comp = support & ~f
+        kept = [t for t in trans if t & comp]
+        grown = []
+        for t in trans:
+            if not t & comp:
+                for b in bits(comp):
+                    g = t | 1 << b
+                    if not any(k & g == k for k in kept):
+                        grown.append(g)
+        trans = kept + grown
+    return sorted(trans)
 
 
 def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
     """Lowest degree with nonzero reduced homology of C restricted to sigma."""
-    restricted = _prune_to_maximal(f & sigma for f in facet_masks)
-    acc = ~0
-    for m in restricted:
-        acc &= m
-    if restricted and acc:
-        return None  # cone
-    nz = _profile_masks(restricted, cap)
+    nz = _profile_masks(_prune_to_maximal(f & sigma for f in facet_masks), cap)
     return min(nz) if nz else None
 
 
@@ -560,6 +524,18 @@ def depth_hochster(
     missing from every facet contribute variables contained in the ideal
     and shift pd up by their count.  For the zero ideal (full simplex) the
     answer is numvars.
+
+    Only unions of minimal nonfaces can contribute (any other sigma has a
+    cone point), so the sweep runs over those, in local coordinates on the
+    vertices of the minimal nonfaces.  One ascending pass fills, block by
+    block of masks with the same highest vertex, nb (the neighbourhood
+    union in the 2-section graph of the minimal nonfaces) and cov (the
+    union of the minimal nonfaces inside the mask); sigma is swept when
+    cov[sigma] == sigma.  The restriction to sigma is the join of its
+    restrictions to the components of that graph inside sigma, flooded one
+    nb lookup per step, so it contributes |sigma| - sum(d_j + 1) with d_j
+    the lowest nonzero degree of component j, memoised per component.  The
+    2^m tables are allocated only after the variable cap is checked.
     """
     if numvars is None:
         numvars = C.n_vertices
@@ -569,64 +545,77 @@ def depth_hochster(
         raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
     if C.is_void:
         raise ValueError("void complex corresponds to the unit ideal")
-    support = C.support_mask()
-    ghosts = numvars - support.bit_count()
-    sup_bits = list(bits(support))
+    ghosts = numvars - C.support_mask().bit_count()
     facet_masks = sorted(C.mask_key)
+    nonfaces = _minimal_nonfaces(facet_masks)
+    span = 0
+    for nf in nonfaces:
+        span |= nf
+    verts = list(bits(span))  # local vertex k is global bit verts[k]
+    local = {b: 1 << k for k, b in enumerate(verts)}
+    m = len(verts)
+    adj = [0] * m  # 2-section graph of the minimal nonfaces
+    pair_below = [0] * m  # pair nonfaces by top vertex: the other vertex
+    larger_below: list[list[int]] = [[] for _ in range(m)]  # the rest of larger ones
+    for nf in nonfaces:
+        loc = 0
+        for b in bits(nf):
+            loc |= local[b]
+        for k in bits(loc):
+            adj[k] |= loc ^ (1 << k)
+        k = loc.bit_length() - 1
+        below = loc ^ (1 << k)
+        if below.bit_count() == 1:
+            pair_below[k] |= below
+        else:
+            larger_below[k].append(below)
 
-    flag_adj = _flag_nonedge_adj(C)
+    nb = array("I", [0]) * (1 << m)
+    cov = array("I", [0]) * (1 << m)
+    lattice: list[list[int]] = [[] for _ in range(m + 1)]  # by size
+    for k in range(m):
+        top = 1 << k
+        a, pairs, larger = adj[k], pair_below[k], larger_below[k]
+        for s in range(top, top << 1):
+            t = s ^ top
+            nb[s] = nb[t] | a
+            c = cov[t]
+            if pairs & t:
+                c |= pairs & t | top
+            for below in larger:
+                if below & t == below:
+                    c |= below | top
+            cov[s] = c
+            if c == s:
+                lattice[s.bit_count()].append(s)
+
     dmin_memo: dict[int, int | None] = {}
-
-    def dmin_factor(tau: int) -> int | None:
-        hit = dmin_memo.get(tau)
-        if tau in dmin_memo:
-            return hit
-        val = _dmin_of_restriction(facet_masks, tau, max_faces)
-        dmin_memo[tau] = val
-        return val
-
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-    for size in range(len(sup_bits), 0, -1):
+    for size in range(m, 0, -1):
         if best_pd >= size - 1:
             break
-        for combo in combinations(sup_bits, size):
-            sigma = 0
-            for b in combo:
-                sigma |= 1 << b
-            if flag_adj is not None:
-                # cone-free iff no vertex of sigma is isolated in H[sigma]
-                if any(not (flag_adj[b] & sigma) for b in combo):
-                    continue
-                # join decomposition over connected components of H[sigma]
-                rest = sigma
-                total = 0
-                parts = 0
-                dead = False
-                while rest:
-                    low = rest & -rest
-                    comp = low
-                    frontier = low
-                    while frontier:
-                        nxt = 0
-                        for b in bits(frontier):
-                            nxt |= flag_adj[b]
-                        frontier = nxt & sigma & ~comp
-                        comp |= frontier
-                    rest &= ~comp
-                    d = dmin_factor(comp)
-                    if d is None:
-                        dead = True
-                        break
-                    total += d
-                    parts += 1
-                if dead:
-                    continue
-                dmin = total + (parts - 1)
+        for sigma in lattice[size]:
+            cand = size
+            rest = sigma
+            while rest:
+                cc = rest & -rest
+                grown = nb[cc] & sigma | cc
+                while grown != cc:
+                    cc = grown
+                    grown = nb[cc] & sigma | cc
+                rest ^= cc
+                if cc in dmin_memo:
+                    d = dmin_memo[cc]
+                else:
+                    part = 0
+                    for k in bits(cc):
+                        part |= 1 << verts[k]
+                    d = dmin_memo[cc] = _dmin_of_restriction(facet_masks, part, max_faces)
+                if d is None:
+                    break
+                cand -= d + 1
+                if cand <= best_pd:
+                    break  # the remaining parts only lower it further
             else:
-                dmin = _dmin_of_restriction(facet_masks, sigma, max_faces)
-                if dmin is None:
-                    continue
-            cand = size - 1 - dmin
-            if cand > best_pd:
                 best_pd = cand
     return numvars - (best_pd + ghosts)

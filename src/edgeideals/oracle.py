@@ -13,7 +13,7 @@ Duval's criterion runs in link form: for each i, the subcomplex generated
 by the facets with more than i vertices must have no reduced homology in
 any face link below degree i - |face|.  Goodarzi's filtration criterion
 asks the same subcomplexes for depth >= i + 1, computed by the Hochster
-vertex-subset sweep, which never looks at links.  Likewise Reisner's CM
+sweep over the unions of minimal nonfaces, which never looks at links.  Likewise Reisner's CM
 verdict (links) is checked against depth == dim (Auslander-Buchsbaum).
 
 The oracle certifies invariants of the initial ideal.  Carrying them back
@@ -38,7 +38,7 @@ from .complexes import (
     is_scm_duval,
 )
 from .errors import NotClosedError
-from .graphs import Graph, bits
+from .graphs import Graph, _bron_kerbosch, bits
 
 
 @dataclass(frozen=True)
@@ -97,23 +97,7 @@ def stanley_reisner_complex(gens, n: int) -> SimplicialComplex:
     for v in range(1, m + 1):
         comp[v] = full & ~adj[v] & ~(1 << (v - 1))
     out: list[int] = []
-
-    def bk(R: int, P: int, X: int):
-        if P == 0 and X == 0:
-            out.append(R)
-            return
-        pivot, best = -1, -1
-        for b in bits(P | X):
-            d = (P & comp[b + 1]).bit_count()
-            if d > best:
-                best, pivot = d, b
-        for b in bits(P & ~comp[pivot + 1]):
-            v = 1 << b
-            bk(R | v, P & comp[b + 1], X & comp[b + 1])
-            P &= ~v
-            X |= v
-
-    bk(0, full, 0)
+    _bron_kerbosch(tuple(comp), 0, full, 0, out)  # maximal cliques of the complement
     support = 0
     for f in out:
         support |= f

@@ -5,7 +5,13 @@ from itertools import combinations, permutations
 import pytest
 
 from edgeideals.closed import IntervalFacets, build_graph
-from edgeideals.complexes import SimplicialComplex, link, pure_skeleton, reduced_homology
+from edgeideals.complexes import (
+    SimplicialComplex,
+    induced_subcomplex,
+    link,
+    pure_skeleton,
+    reduced_homology,
+)
 from edgeideals.graphs import Graph, from_edge_list
 
 
@@ -94,3 +100,25 @@ def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
 def is_scm_duval_ref(C: SimplicialComplex) -> bool:
     """Reference Duval check: every pure i-skeleton, built explicitly, is CM."""
     return all(is_cm_reisner_ref(pure_skeleton(C, i)) for i in range(C.dim + 1))
+
+
+def depth_hochster_ref(C: SimplicialComplex) -> int:
+    """Reference depth: Hochster's sweep over every vertex subset of the support.
+
+    pd is the best |sigma| - 1 - d over subsets sigma and degrees d with
+    nonzero reduced homology of the induced subcomplex on sigma, each
+    restriction taken whole (no join factorisation); universe vertices in no
+    facet add one each.  Sizes run downwards and the scan stops once no
+    smaller subset can beat the best found.
+    """
+    support = sorted(set().union(*C.facets))
+    best_pd = 0  # sigma = {} has degree -1 homology
+    for size in range(len(support), 0, -1):
+        if best_pd >= size - 1:
+            break
+        for sigma in combinations(support, size):
+            nz = reduced_homology(induced_subcomplex(C, sigma)).nonzero()
+            if nz:
+                best_pd = max(best_pd, size - 1 - min(nz))
+    ghosts = C.n_vertices - len(support)
+    return C.n_vertices - (best_pd + ghosts)

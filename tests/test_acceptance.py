@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line with its elapsed time (visible under
 pytest -s or in the failure report) and enforces the stated runtime bound.
-The oracle sweep over every connected closed graph on up to 7 vertices is
+The oracle sweep over every connected closed graph on up to 8 vertices is
 shared between criteria through a session fixture.
 """
 
@@ -37,10 +37,10 @@ def _report(k, name, t0):
 
 
 @pytest.fixture(scope="session")
-def oracle_sweep_n7():
-    """(facets, classification, oracle report) for all connected closed n <= 7."""
+def oracle_sweep_n8():
+    """(facets, classification, oracle report) for all connected closed n <= 8."""
     out = []
-    for n in range(1, 8):
+    for n in range(1, 9):
         for F in enumerate_closed_connected(n):
             out.append((F, classify_facets(F), oracle_classify_facets(F)))
     return out
@@ -94,10 +94,10 @@ def test_criterion_3_two_clique_depth_formula():
     _report(3, f"oracle depth = n + a - b + 1 on all {checked} two-clique graphs", t0)
 
 
-def test_criterion_4_main_theorem_cross_validation(oracle_sweep_n7):
+def test_criterion_4_main_theorem_cross_validation(oracle_sweep_n8):
     t0 = time.time()
-    runs = list(oracle_sweep_n7)
-    assert len(runs) == 1 + 1 + 2 + 5 + 14 + 42 + 132
+    runs = list(oracle_sweep_n8)
+    assert len(runs) == 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429
     for F in SHOWCASE:  # caps permit both n = 7 and n = 9 (2n <= 18)
         runs.append((F, classify_facets(F), oracle_classify_facets(F)))
     for F, c, rep in runs:
@@ -108,13 +108,13 @@ def test_criterion_4_main_theorem_cross_validation(oracle_sweep_n7):
         assert rep.approx_cm == c.approx_cm, F.facets
     elapsed = time.time() - t0
     assert elapsed < 1800.0
-    _report(4, f"classifier = oracle on {len(runs)} graphs (n <= 7 exhaustive + showcase)", t0)
+    _report(4, f"classifier = oracle on {len(runs)} graphs (n <= 8 exhaustive + showcase)", t0)
 
 
-def test_criterion_5_criterion_equivalences(oracle_sweep_n7):
+def test_criterion_5_criterion_equivalences(oracle_sweep_n8):
     t0 = time.time()
     # Duval <=> Goodarzi on every oracle run of this suite
-    for F, _, rep in oracle_sweep_n7:
+    for F, _, rep in oracle_sweep_n8:
         assert rep.scm == rep.scm_goodarzi, F.facets
     for F in SHOWCASE:
         rep = oracle_classify_facets(F)
@@ -130,7 +130,7 @@ def test_criterion_5_criterion_equivalences(oracle_sweep_n7):
     _report(5, f"Duval=Goodarzi on all runs; chain=endpoint on {checked} blocks", t0)
 
 
-def test_criterion_6_structural_identities(oracle_sweep_n7):
+def test_criterion_6_structural_identities(oracle_sweep_n8):
     t0 = time.time()
     # CM <=> unmixed, classifier vs cut-set module, all connected closed n <= 9
     for n in range(1, 10):
@@ -144,20 +144,20 @@ def test_criterion_6_structural_identities(oracle_sweep_n7):
             assert c.approx_cm == c.almost_cm, F.facets
             if c.almost_cm:
                 assert c.scm, F.facets
-    # oracle confirmation where caps permit: the shared n <= 7 sweep, and
-    # in it every almost-CM graph on 7 vertices
-    for F, c, rep in oracle_sweep_n7:
+    # oracle confirmation where caps permit: the shared n <= 8 sweep, and
+    # in it every almost-CM graph on 7 or 8 vertices
+    for F, c, rep in oracle_sweep_n8:
         assert rep.approx_cm == rep.almost_cm, F.facets
         if rep.almost_cm:
             assert rep.scm, F.facets
     confirmed = 0
-    for F, c, rep in oracle_sweep_n7:
-        if F.n == 7 and c.almost_cm:
+    for F, c, rep in oracle_sweep_n8:
+        if F.n >= 7 and c.almost_cm:
             assert rep.almost_cm and rep.scm, F.facets
             confirmed += 1
     elapsed = time.time() - t0
     assert elapsed < 1800.0
-    _report(6, f"identity lattice holds (oracle-confirmed almost-CM at n=7: {confirmed})", t0)
+    _report(6, f"identity lattice holds (oracle-confirmed almost-CM at n=7,8: {confirmed})", t0)
 
 
 def test_criterion_7_homology_engine_unit_properties():

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edgeideals import complexes
 from edgeideals.complexes import (
     SimplicialComplex,
     _betti_from_faces,
     _faces_of,
+    _minimal_nonfaces,
+    _prune_to_maximal,
     boundary_matrices,
     depth_hochster,
     induced_subcomplex,
@@ -19,8 +22,9 @@ from edgeideals.complexes import (
     reduced_homology,
 )
 from edgeideals.errors import ResourceCapError
+from edgeideals.graphs import from_edge_list, mask_of, maximal_cliques
 
-from conftest import is_cm_reisner_ref, is_scm_duval_ref
+from conftest import depth_hochster_ref, is_cm_reisner_ref, is_scm_duval_ref
 
 
 def cx(n, *facets):
@@ -91,16 +95,6 @@ def test_euler_consistency_explicit():
         assert prof.euler() == chi
 
 
-def test_reductions_match_plain_matrices():
-    # the component/cone/collapse pipeline against raw boundary ranks
-    rng = random.Random(2)
-    for _ in range(60):
-        C = random_complex(rng, n_max=6)
-        plain = _betti_from_faces(_faces_of(C.mask_key, 1 << 20))
-        got = reduced_homology(C).nonzero()
-        assert got == plain
-
-
 def test_link_examples():
     hollow = cx(3, (1, 2), (1, 3), (2, 3))
     lk = link(hollow, {1})
@@ -146,13 +140,12 @@ def test_duval_examples():
 
 
 @st.composite
-def mixed_complexes(draw):
-    """Up to three pieces on disjoint vertex blocks, each with facets of mixed
-    sizes, plus isolated vertices and possibly a ghost vertex."""
-    block = 5
+def mixed_complexes(draw, block=5, max_pieces=3):
+    """Up to max_pieces pieces on disjoint vertex blocks, each with facets of
+    mixed sizes, plus isolated vertices and possibly a ghost vertex."""
     pieces = draw(st.lists(
         st.lists(st.sets(st.integers(1, block), min_size=1), min_size=1, max_size=4),
-        min_size=1, max_size=3,
+        min_size=1, max_size=max_pieces,
     ))
     isolated = draw(st.integers(0, 2))
     ghosts = draw(st.integers(0, 1))
@@ -160,6 +153,44 @@ def mixed_complexes(draw):
     n = len(pieces) * block
     faces += [(n + k + 1,) for k in range(isolated)]
     return SimplicialComplex.from_faces(n + isolated + ghosts, faces)
+
+
+@st.composite
+def flag_complexes(draw, max_n=7):
+    """Clique complex of a random graph (isolated vertices included)."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
+    return SimplicialComplex.from_faces(n, maximal_cliques(G))
+
+
+@st.composite
+def coned(draw, complexes_):
+    """A drawn complex, possibly coned off by a new vertex, possibly with a ghost."""
+    C = draw(complexes_)
+    n = C.n_vertices
+    faces = [tuple(f) for f in C.facets]
+    if draw(st.booleans()):
+        n += 1
+        faces = [f + (n,) for f in faces]
+    return SimplicialComplex.from_faces(n + draw(st.integers(0, 1)), faces)
+
+
+@st.composite
+def dominated_complexes(draw):
+    """Small mixed complexes with up to two new vertices, each added to some of
+    the facets through one old vertex w, so that w dominates it."""
+    C = draw(mixed_complexes(block=4, max_pieces=2))
+    facets = [set(f) for f in C.facets]
+    n = C.n_vertices
+    for _ in range(draw(st.integers(0, 2))):
+        w = draw(st.sampled_from(sorted(set().union(*facets))))
+        through = [f for f in facets if w in f]
+        n += 1
+        for f in draw(st.lists(st.sampled_from(through), min_size=1)):
+            f.add(n)
+    return SimplicialComplex(n, frozenset(frozenset(f) for f in facets))
 
 
 def _with_small_cases(test):
@@ -189,6 +220,65 @@ def test_reisner_matches_reference(C):
     assert is_cm_reisner(C) == is_cm_reisner_ref(C)
 
 
+@settings(max_examples=200, deadline=None)
+@example(cx(3, (1, 2), (1, 3), (2, 3)))       # hollow triangle: no dominated vertex
+@example(cx(4, (1, 2, 4), (1, 3, 4), (2, 3, 4)))  # its cone
+@example(cx(3, ()))
+@given(coned(dominated_complexes()))
+def test_reductions_match_plain_matrices(C):
+    # components, cones and strong collapses against raw boundary ranks
+    plain = _betti_from_faces(_faces_of(C.mask_key, 1 << 20))
+    assert reduced_homology(C).nonzero() == plain
+
+
+def test_euler_check_catches_a_corrupted_core(monkeypatch):
+    # vertex 3 of the hollow triangle is not dominated: deleting it leaves an
+    # edge, a cone, against reduced Euler characteristic -1 of the faces
+    monkeypatch.setattr(complexes, "_strong_collapse",
+                        lambda facets: _prune_to_maximal(f & ~0b100 for f in facets))
+    monkeypatch.setattr(complexes, "_profile_cache", {})
+    with pytest.raises(AssertionError, match="Euler check failed"):
+        reduced_homology(simplex_boundary(2))
+
+
+def _minimal_nonfaces_ref(C):
+    """Support subsets that lie in no facet, while each of their subsets does."""
+    support = sorted(set().union(*C.facets))
+    return sorted(
+        mask_of(s) for k in range(len(support) + 1) for s in combinations(support, k)
+        if not C.has_face(s) and all(C.has_face(set(s) - {v}) for v in s)
+    )
+
+
+_depth_cases = st.one_of(
+    coned(flag_complexes()), coned(mixed_complexes(block=4, max_pieces=2))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(cx(3, ()))
+@example(cx(4, (1, 2, 3, 4)))
+@example(cx(5, (1, 2, 3, 4)))
+@example(cx(4, (1, 2), (2, 3), (3, 4)))  # flag: the non-edges 13, 14, 24
+@example(simplex_boundary(3))           # one nonface, of size 4
+@given(_depth_cases)
+def test_minimal_nonfaces_match_definition(C):
+    got = _minimal_nonfaces(sorted(C.mask_key))
+    assert got == _minimal_nonfaces_ref(C)
+
+
+@settings(max_examples=200, deadline=None)
+@example(cx(3, ()))                              # {emptyset}: depth 0
+@example(cx(4, (1, 2, 3, 4)))                    # full simplex: depth numvars
+@example(cx(6, (1, 2, 3, 4, 5)))                 # simplex beside a ghost
+@example(cx(7, (1, 2, 7), (3, 4, 7), (5, 6, 7)))  # cone over three edges
+@example(cx(6, (1, 2, 3), (4, 5, 6)))            # disjoint triangles
+@example(cx(7, (1, 2, 3), (2, 3, 4), (4, 5), (6,)))
+@given(_depth_cases)
+def test_depth_matches_all_subsets_reference(C):
+    assert depth_hochster(C) == depth_hochster_ref(C)
+
+
 def test_caps_do_not_depend_on_call_history():
     # the default-cap call in between must not leave a cached answer that
     # lets the capped call skip its face enumeration
@@ -197,6 +287,7 @@ def test_caps_do_not_depend_on_call_history():
         lambda cap: reduced_homology(sphere, max_faces=cap),
         lambda cap: is_cm_reisner(sphere, max_faces=cap),
         lambda cap: is_scm_duval(sphere, max_faces=cap),
+        lambda cap: depth_hochster(sphere, max_faces=cap),
     ]
     for check in checks:
         with pytest.raises(ResourceCapError):
@@ -206,6 +297,7 @@ def test_caps_do_not_depend_on_call_history():
             check(64)
     assert reduced_homology(sphere).nonzero() == {5: 1}
     assert is_cm_reisner(sphere) and is_scm_duval(sphere)
+    assert depth_hochster(sphere) == 6
 
 
 def test_depth_simple_cases():

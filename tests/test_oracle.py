@@ -8,7 +8,7 @@ import pytest
 import edgeideals
 from edgeideals.classify import classify_facets
 from edgeideals.closed import IntervalFacets
-from edgeideals.complexes import depth_hochster, is_cm_reisner, is_scm_duval
+from edgeideals.complexes import SimplicialComplex, depth_hochster, is_cm_reisner, is_scm_duval
 from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import NotClosedError, ResourceCapError
 from edgeideals.graphs import from_edge_list
@@ -21,7 +21,7 @@ from edgeideals.oracle import (
     stanley_reisner_complex,
 )
 
-from conftest import SEVEN_ALMOST, SEVEN_NOT_SCM, claw, complete_graph
+from conftest import SEVEN_ALMOST, SEVEN_NOT_SCM, claw, complete_graph, depth_hochster_ref
 
 
 def test_initial_ideal_generators():
@@ -48,6 +48,31 @@ def test_stanley_reisner_edgeless_and_k3():
     assert full.facets == frozenset({frozenset(range(1, 7))})
     C = stanley_reisner_complex({(1, 2), (1, 3), (2, 3)}, 3)
     assert C.dim == 3  # dim S/in = 4 = n + 1
+
+
+def test_stanley_reisner_facets_are_maximal_independent_sets():
+    # brute force over all 2^(2n) vertex subsets, every connected closed n <= 4
+    for n in range(1, 5):
+        for F in enumerate_closed_connected(n):
+            gens = initial_ideal_generators(F)
+            pairs = [(1 << (i - 1)) | (1 << (n + j - 1)) for i, j in gens]
+            indep = [m for m in range(1 << (2 * n)) if not any(p & m == p for p in pairs)]
+            maximal = {m for m in indep if not any(m != k and m & k == m for k in indep)}
+            assert stanley_reisner_complex(gens, n).mask_key == maximal, F.facets
+
+
+def test_depth_matches_reference_on_every_truncation_n6():
+    # Goodarzi's depth checks: every truncation (facets with more than i
+    # vertices) of the complex of every connected closed graph with n <= 6
+    seen = set()
+    for n in range(1, 7):
+        for F in enumerate_closed_connected(n):
+            C = oracle_complex(F)
+            for i in range(C.dim + 1):
+                sub = SimplicialComplex(C.n_vertices, frozenset(f for f in C.facets if len(f) > i))
+                if sub.mask_key not in seen:
+                    seen.add(sub.mask_key)
+                    assert depth_hochster(sub) == depth_hochster_ref(sub), (F.facets, i)
 
 
 def test_depth_golden_values():
