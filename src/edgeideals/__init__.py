@@ -25,7 +25,6 @@ from .complexes import (
     is_cm_reisner,
     is_scm_duval,
     link,
-    pure_skeleton,
     reduced_homology,
 )
 from .cutsets import (
@@ -38,7 +37,6 @@ from .cutsets import (
     krull_dimension,
 )
 from .enumerators import (
-    FacetSequenceSpec,
     enumerate_closed_connected,
     enumerate_closed_indecomposable,
     random_closed,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "FacetSequenceSpec",
     "Classification",
     "ClosedLabeling",
     "CutSetRecord",
@@ -96,7 +93,6 @@ __all__ = [
     "link",
     "oracle_classify",
     "oracle_classify_facets",
-    "pure_skeleton",
     "random_closed",
     "recognize_closed",
     "reduced_homology",

@@ -100,33 +100,6 @@ def is_scm_indecomposable(F: IntervalFacets) -> tuple[bool, int | None]:
     return False, None
 
 
-def wsize_chain_check(F: IntervalFacets) -> bool:
-    """Cross-check form of the sequential-CM condition.
-
-    Looks for a k making the consecutive-intersection sizes |W_1| >= ... >=
-    |W_k| <= ... <= |W_{s-1}| unimodal while the endpoint runs of the main
-    condition hold at the same k.  Agreement with is_scm_indecomposable on
-    every indecomposable block is an acceptance invariant.
-    """
-    if not is_indecomposable(F):
-        raise ValueError("expected an indecomposable connected facet sequence")
-    s = F.r
-    if s <= 2:
-        return True
-    alpha = [a for a, _ in F.facets]
-    beta = [b for _, b in F.facets]
-    sizes = [beta[i] - alpha[i + 1] + 1 for i in range(s - 1)]
-    for k in range(1, s):
-        chain = all(sizes[i] >= sizes[i + 1] for i in range(k - 1)) and all(
-            sizes[i] <= sizes[i + 1] for i in range(k - 1, s - 2)
-        )
-        uppers = all(beta[j - 1] == beta[0] + (j - 1) for j in range(1, k + 1))
-        lowers = all(alpha[m - 1] == alpha[s - 1] - (s - m) for m in range(k + 1, s + 1))
-        if chain and uppers and lowers:
-            return True
-    return False
-
-
 def is_almost_cm_indecomposable(F: IntervalFacets) -> bool:
     """Shape test for an indecomposable non-clique block (facet count >= 2)."""
     if not is_indecomposable(F):
@@ -147,45 +120,22 @@ def is_almost_cm_indecomposable(F: IntervalFacets) -> bool:
     return False
 
 
-def _all_blocks(F: IntervalFacets) -> tuple[Block, ...]:
-    out = []
-    for comp in split_components(F):
-        for blk in decompose_blocks(comp.facets):
-            out.append(Block(comp.start + blk.start - 1, blk.facets))
-    return tuple(out)
+def _all_blocks(components: tuple[Block, ...]) -> tuple[Block, ...]:
+    return tuple(
+        Block(comp.start + blk.start - 1, blk.facets)
+        for comp in components
+        for blk in decompose_blocks(comp.facets)
+    )
 
 
-def _require_closed(G: Graph) -> IntervalFacets:
-    rec = recognize_closed(G)
-    if rec is None:
-        raise NotClosedError("graph is not closed; these classifiers do not apply")
-    return rec[1]
-
-
-def is_scm_closed(G: Graph) -> bool:
-    """Sequentially CM iff every indecomposable block of every component is."""
-    F = _require_closed(G)
-    return all(is_scm_indecomposable(blk.facets)[0] for blk in _all_blocks(F))
-
-
-def is_almost_cm_closed(G: Graph) -> bool:
+def _almost_cm(blocks: tuple[Block, ...]) -> bool:
     """Almost CM iff CM, or exactly one non-clique block that matches a shape."""
-    F = _require_closed(G)
-    return _almost_cm_from_facets(F)
-
-
-def _almost_cm_from_facets(F: IntervalFacets) -> bool:
-    noncliques = [blk for blk in _all_blocks(F) if blk.facets.r >= 2]
+    noncliques = [blk for blk in blocks if blk.facets.r >= 2]
     if not noncliques:
         return True  # CM: depth = dim
     if len(noncliques) > 1:
         return False
     return is_almost_cm_indecomposable(noncliques[0].facets)
-
-
-def is_approx_cm_closed(G: Graph) -> bool:
-    """Approximately CM coincides with almost CM for closed graphs."""
-    return is_almost_cm_closed(G)
 
 
 def classify(G: Graph) -> Classification:
@@ -199,12 +149,12 @@ def classify(G: Graph) -> Classification:
 
 def classify_facets(F: IntervalFacets) -> Classification:
     components = split_components(F)
-    blocks = _all_blocks(F)
+    blocks = _all_blocks(components)
     scm_flags = [is_scm_indecomposable(blk.facets) for blk in blocks]
     cm = all(is_cm_closed(comp.facets) for comp in components)
     unmixed = cm  # connected closed: unmixed iff all W_i singletons, per component
     scm = all(flag for flag, _ in scm_flags)
-    almost = _almost_cm_from_facets(F)
+    almost = _almost_cm(blocks)
     krull = sum(comp.facets.n + 1 for comp in components)
     return Classification(
         facets=F,

@@ -48,7 +48,6 @@ EXIT_MISMATCH = 4
 class RunConfig:
     command: str
     input_path: str | None = None   # None: inline/stdin data passed to run()
-    json_out: bool = True
     facet_text: bool = False
     n: int | None = None
     indecomposable: bool = False
@@ -59,9 +58,8 @@ class RunConfig:
     max_faces: int = DEFAULT_FACE_CAP
 
 
-def _detect_and_parse(data: bytes) -> tuple[Graph, IntervalFacets | None]:
-    """Parse edge-list or facet text; returns the graph and, when the input
-    was facet text, the declared facets."""
+def _detect_and_parse(data: bytes) -> Graph:
+    """Parse edge-list or facet text into a graph."""
     text = data.decode("utf-8")
     first = None
     for raw in text.splitlines():
@@ -72,9 +70,8 @@ def _detect_and_parse(data: bytes) -> tuple[Graph, IntervalFacets | None]:
     if first is None:
         raise GraphInputError("empty input")
     if first == "closed":
-        F = parse_facet_text(text)
-        return build_graph(F), F
-    return parse_edge_list(text), None
+        return build_graph(parse_facet_text(text))
+    return parse_edge_list(text)
 
 
 def _facets_json(F: IntervalFacets):
@@ -148,7 +145,7 @@ def _dispatch(config: RunConfig, data: bytes) -> bytes:
     cmd = config.command
     if cmd == "enumerate":
         return _cmd_enumerate(config)
-    G, declared = _detect_and_parse(data)
+    G = _detect_and_parse(data)
 
     if cmd == "recognize":
         rec = recognize_closed(G)
@@ -165,7 +162,7 @@ def _dispatch(config: RunConfig, data: bytes) -> bytes:
 
     if cmd == "facets":
         _, F = _require_closed(G)
-        if config.facet_text or not config.json_out:
+        if config.facet_text:
             return format_facet_text(F).encode()
         return _dump({"schema": SCHEMA, "n": F.n, "facets": _facets_json(F)})
 
@@ -259,42 +256,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """Each subcommand accepts only the flags it reads; dests are RunConfig fields."""
     p = _Parser(prog="edgeideals", add_help=True)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("recognize", "facets", "cutsets", "classify", "oracle", "verify"):
         sp = sub.add_parser(name)
-        sp.add_argument("--input", default="-", help="path to graph/facet file, '-' for stdin")
-        sp.add_argument("--json", action="store_true", default=True)
-        sp.add_argument("--facet-text", action="store_true", default=False)
-        sp.add_argument("--max-vars", type=int, default=DEFAULT_VAR_CAP)
-        sp.add_argument("--max-faces", type=int, default=DEFAULT_FACE_CAP)
+        sp.add_argument("--input", dest="input_path", metavar="PATH", default="-",
+                        help="path to graph/facet file, '-' for stdin")
+        if name == "facets":
+            sp.add_argument("--facet-text", action="store_true")
+        if name in ("oracle", "verify"):
+            sp.add_argument("--max-vars", type=int, default=DEFAULT_VAR_CAP)
+            sp.add_argument("--max-faces", type=int, default=DEFAULT_FACE_CAP)
     se = sub.add_parser("enumerate")
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--indecomposable", action="store_true")
-    se.add_argument("--json", action="store_true", default=True)
-    se.add_argument("--facet-text", action="store_true", default=False)
-    se.add_argument("--random", type=int, default=None, metavar="COUNT")
+    se.add_argument("--facet-text", action="store_true")
+    se.add_argument("--random", dest="random_count", type=int, default=None, metavar="COUNT")
     se.add_argument("--seed", type=int, default=0)
     se.add_argument("--bias", type=float, default=0.5)
     return p
 
 
 def config_from_argv(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    if ns.command == "enumerate":
-        cfg.n = ns.n
-        cfg.indecomposable = ns.indecomposable
-        cfg.facet_text = ns.facet_text
-        cfg.random_count = ns.random
-        cfg.seed = ns.seed
-        cfg.bias = ns.bias
-    else:
-        cfg.input_path = ns.input
-        cfg.facet_text = ns.facet_text
-        cfg.max_vars = ns.max_vars
-        cfg.max_faces = ns.max_faces
-    return cfg
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

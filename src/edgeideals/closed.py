@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import Graph, bits, component_masks, delete_vertices, from_edge_list
+from .graphs import MAX_VERTICES, Graph, bits, component_masks, delete_vertices, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,10 @@ def _recognize_component(G: Graph) -> tuple[tuple[int, ...], IntervalFacets] | N
     perm = [0] * (G.n + 1)
     for pos, v in enumerate(pi3, start=1):
         perm[v] = pos
-    relabeled = ClosedLabeling(tuple(perm)).apply(G)
-    if closed_labeling_witness(relabeled) is not None:
+    try:
+        fwd = interval_facets(ClosedLabeling(tuple(perm)).apply(G))
+    except NotClosedError:
         return None
-    fwd = interval_facets(relabeled)
     rev = reverse_facets(fwd)
     if rev.flattened() < fwd.flattened():
         perm = [0] + [G.n + 1 - perm[v] for v in verts]
@@ -368,11 +368,16 @@ def parse_facet_text(text: str) -> IntervalFacets:
             rows.append(line.split())
     if not rows or rows[0][0] != "closed" or len(rows[0]) != 3:
         raise GraphInputError("facet text must start with a 'closed n r' header")
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise GraphInputError(f"facet text: expected 'a b', got {' '.join(row)!r}")
     try:
         n, r = int(rows[0][1]), int(rows[0][2])
         facets = tuple((int(a), int(b)) for a, b in rows[1:])
     except ValueError:
         raise GraphInputError("facet text: non-integer field")
+    if n > MAX_VERTICES:  # before build_graph lists every clique edge
+        raise GraphInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     if len(facets) != r:
         raise GraphInputError(f"facet text: header promises {r} facets, got {len(facets)}")
     try:

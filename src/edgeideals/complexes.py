@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ResourceCapError
 from .graphs import bits, mask_of
@@ -159,12 +158,6 @@ class HomologyProfile:
     """Dimensions of reduced rational homology, degree by degree."""
 
     reduced_betti: tuple[tuple[int, int], ...]  # (degree, betti), degrees -1..dim
-
-    def betti(self, degree: int) -> int:
-        for d, b in self.reduced_betti:
-            if d == degree:
-                return b
-        return 0
 
     def nonzero(self) -> dict[int, int]:
         return {d: b for d, b in self.reduced_betti if b}
@@ -335,30 +328,7 @@ def reduced_homology(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) ->
     return HomologyProfile(tuple((d, nz.get(d, 0)) for d in range(-1, C.dim + 1)))
 
 
-def boundary_matrices(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> dict[int, list[list[int]]]:
-    """Dense boundary matrices of the full face complex, for inspection/tests."""
-    if C.is_void:
-        return {}
-    faces = _faces_of(C.mask_key, max_faces)
-    faces_by_dim: dict[int, list[int]] = {}
-    for m in faces:
-        faces_by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    for d in faces_by_dim:
-        faces_by_dim[d].sort()
-    out: dict[int, list[list[int]]] = {}
-    top = max(faces_by_dim)
-    for d in range(0, top + 1):
-        cols = _boundary_columns(faces_by_dim, d)
-        nrows = len(faces_by_dim.get(d - 1, []))
-        dense = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in cols.items():
-            for i, v in col.items():
-                dense[i][j] = v
-        out[d] = dense
-    return out
-
-
-# -- links, restrictions, skeletons --------------------------------------------
+# -- links and restrictions ---------------------------------------------------
 
 
 def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
@@ -380,26 +350,6 @@ def induced_subcomplex(C: SimplicialComplex, vertices) -> SimplicialComplex:
     """Faces of C contained in the given vertex set (same universe)."""
     sigma = mask_of(vertices)
     return _from_masks(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
-
-
-def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
-    """Subcomplex generated by all faces of dimension exactly i."""
-    if C.is_void:
-        raise ValueError("void complex has no skeleta")
-    if not -1 <= i <= C.dim:
-        raise ValueError(f"skeleton dimension {i} outside -1..{C.dim}")
-    if i == -1:
-        return SimplicialComplex(C.n_vertices, frozenset({frozenset()}))
-    faces: set[int] = set()
-    for fm in C.mask_key:
-        vs = list(bits(fm))
-        if len(vs) >= i + 1:
-            for combo in combinations(vs, i + 1):
-                m = 0
-                for b in combo:
-                    m |= 1 << b
-                faces.add(m)
-    return _from_masks(C.n_vertices, faces)
 
 
 # -- Reisner / Duval criteria ---------------------------------------------------

@@ -20,44 +20,11 @@ same chain on any platform or language; no library RNG is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .closed import IntervalFacets
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class FacetSequenceSpec:
-    """Constraints for a facet-chain stream.
-
-    connected_only is currently the only supported universe (disconnected
-    sweeps are built compositionally from connected pieces); the other two
-    fields filter it.
-    """
-
-    n: int
-    connected_only: bool = True
-    indecomposable_only: bool = False
-    max_facets: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n >= 1")
-        if not self.connected_only:
-            raise ValueError("only connected enumeration is supported; "
-                             "compose components for disconnected sweeps")
-
-    def stream(self) -> Iterator[IntervalFacets]:
-        src = (
-            enumerate_closed_indecomposable(self.n)
-            if self.indecomposable_only
-            else enumerate_closed_connected(self.n)
-        )
-        for F in src:
-            if self.max_facets is None or F.r <= self.max_facets:
-                yield F
 
 
 def enumerate_closed_connected(n: int) -> Iterator[IntervalFacets]:

@@ -1,93 +1,23 @@
-"""Exact rank computation for integer matrices.
+"""Exact rank of sparse integer matrices.
 
 Boundary matrices of simplicial complexes are sparse with entries +-1, so
-ranks are computed by unimodular sparse elimination (always pivot on a +-1
-entry, chosen Markowitz-style to limit fill); whatever survives without a
-unit pivot is finished off by dense fraction-free Bareiss elimination.
-Everything is Python integers; no floating point anywhere.
-
-`rank_fraction_gauss` is a deliberately naive Fraction-based Gaussian
-elimination kept as an independent reference for the property tests.
+one sparse elimination does all the work.  It pivots on a +-1 entry while
+one is left, chosen Markowitz-style (least (row length - 1) * (column
+count - 1)) to limit fill, and the update is then unimodular.  When no
+unit entry is left it pivots on an entry of least absolute value and
+updates the other rows fraction-free (row * p - f * pivot row), dividing
+each updated row by the gcd of its entries.  Everything is Python
+integers; no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def rank_fraction_gauss(rows) -> int:
-    """Reference rank over Q: plain Gaussian elimination on Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank_bareiss(rows) -> int:
-    """Fraction-free Bareiss elimination with full pivot search."""
-    m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    used_cols = []
-    for _ in range(min(nrows, ncols)):
-        piv = None
-        for i in range(r, nrows):
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
-                if m[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        m[r], m[pi] = m[pi], m[r]
-        pv = m[r][pj]
-        for i in range(r + 1, nrows):
-            fi = m[i][pj]
-            if fi == 0 and pv == prev:
-                continue
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(ncols):
-                row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
-        prev = pv
-        used_cols.append(pj)
-        rank += 1
-        r += 1
-    return rank
+from math import gcd
 
 
 def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
-    """Rank of a sparse integer matrix given column-major as {col: {row: val}}.
-
-    Unit (+-1) pivots are eliminated first with unimodular row operations;
-    any residual without unit entries goes to Bareiss.
-    """
+    """Rank over Q of a sparse integer matrix given column-major as
+    {col: {row: val}}."""
     rows: dict[int, dict[int, int]] = {}
     for c, col in cols.items():
         for r, v in col.items():
@@ -99,7 +29,7 @@ def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
             col_rows.setdefault(c, set()).add(r)
 
     rank = 0
-    while True:
+    while rows:
         best = None
         best_cost = None
         for r, row in rows.items():
@@ -113,16 +43,22 @@ def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
                             break
             if best_cost == 0:
                 break
-        if best is None:
-            break
+        if best is None:  # no unit entry left
+            _, best = min((abs(v), (r, c)) for r, row in rows.items() for c, v in row.items())
         pr, pc = best
         prow = rows.pop(pr)
         pval = prow[pc]
+        unit = pval == 1 or pval == -1
         for c in prow:
             col_rows[c].discard(pr)
         for r in list(col_rows.get(pc, ())):
             row = rows[r]
-            factor = row[pc] * pval  # pval is +-1, so this is integral
+            if unit:
+                factor = row[pc] * pval  # pval is +-1, so this is integral
+            else:
+                factor = row[pc]
+                for c in row:
+                    row[c] *= pval
             for c, v in prow.items():
                 nv = row.get(c, 0) - factor * v
                 if nv:
@@ -134,17 +70,11 @@ def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
                         col_rows[c].discard(r)
             if not row:
                 del rows[r]
+            elif not unit:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
         col_rows.pop(pc, None)
         rank += 1
-
-    if rows:
-        live_cols = sorted({c for row in rows.values() for c in row})
-        idx = {c: j for j, c in enumerate(live_cols)}
-        dense = []
-        for row in rows.values():
-            out = [0] * len(live_cols)
-            for c, v in row.items():
-                out[idx[c]] = v
-            dense.append(out)
-        rank += rank_bareiss(dense)
     return rank

@@ -37,7 +37,7 @@ from .complexes import (
     is_cm_reisner,
     is_scm_duval,
 )
-from .errors import NotClosedError
+from .errors import NotClosedError, ResourceCapError
 from .graphs import Graph, _bron_kerbosch, bits
 
 
@@ -146,8 +146,10 @@ def oracle_classify_facets(
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
 ) -> OracleReport:
-    C = oracle_complex(F)
     numvars = 2 * F.n
+    if numvars > max_vars:  # the complex can have exponentially many facets
+        raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
+    C = oracle_complex(F)
     dim_quotient = C.dim + 1
     depth = depth_hochster(C, numvars, max_vars=max_vars, max_faces=max_faces)
     cm = is_cm_reisner(C, max_faces=max_faces)

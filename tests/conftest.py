@@ -1,15 +1,19 @@
-"""Shared fixtures: showcase graphs and small brute-force oracles."""
+"""Shared fixtures: showcase graphs, small brute-force oracles and the
+test-only reference implementations that the library does not need."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from edgeideals.closed import IntervalFacets, build_graph
+from edgeideals.closed import IntervalFacets, build_graph, is_indecomposable
 from edgeideals.complexes import (
+    DEFAULT_FACE_CAP,
     SimplicialComplex,
+    _boundary_columns,
+    _faces_of,
     induced_subcomplex,
     link,
-    pure_skeleton,
     reduced_homology,
 )
 from edgeideals.graphs import Graph, from_edge_list
@@ -122,3 +126,95 @@ def depth_hochster_ref(C: SimplicialComplex) -> int:
                 best_pd = max(best_pd, size - 1 - min(nz))
     ghosts = C.n_vertices - len(support)
     return C.n_vertices - (best_pd + ghosts)
+
+
+def rank_fraction_gauss(rows) -> int:
+    """Reference rank over Q: plain Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def boundary_matrices(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> dict[int, list[list[int]]]:
+    """Dense boundary matrices of the full face complex.
+
+    Faces and columns come from the engine's own `_faces_of` and
+    `_boundary_columns`, so boundary-squared-zero tests the sign convention
+    that the homology computation uses.
+    """
+    if C.is_void:
+        return {}
+    faces = _faces_of(C.mask_key, max_faces)
+    faces_by_dim: dict[int, list[int]] = {}
+    for m in faces:
+        faces_by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    for d in faces_by_dim:
+        faces_by_dim[d].sort()
+    out: dict[int, list[list[int]]] = {}
+    top = max(faces_by_dim)
+    for d in range(0, top + 1):
+        cols = _boundary_columns(faces_by_dim, d)
+        nrows = len(faces_by_dim.get(d - 1, []))
+        dense = [[0] * len(cols) for _ in range(nrows)]
+        for j, col in cols.items():
+            for i, v in col.items():
+                dense[i][j] = v
+        out[d] = dense
+    return out
+
+
+def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
+    """Subcomplex generated by all faces of dimension exactly i."""
+    if C.is_void:
+        raise ValueError("void complex has no skeleta")
+    if not -1 <= i <= C.dim:
+        raise ValueError(f"skeleton dimension {i} outside -1..{C.dim}")
+    return SimplicialComplex.from_faces(
+        C.n_vertices, {s for f in C.facets for s in combinations(sorted(f), i + 1)}
+    )
+
+
+def wsize_chain_check(F: IntervalFacets) -> bool:
+    """Cross-check form of the sequential-CM condition.
+
+    Looks for a k making the consecutive-intersection sizes |W_1| >= ... >=
+    |W_k| <= ... <= |W_{s-1}| unimodal while the endpoint runs of the main
+    condition hold at the same k.  Agreement with is_scm_indecomposable on
+    every indecomposable block is an acceptance invariant.
+    """
+    if not is_indecomposable(F):
+        raise ValueError("expected an indecomposable connected facet sequence")
+    s = F.r
+    if s <= 2:
+        return True
+    alpha = [a for a, _ in F.facets]
+    beta = [b for _, b in F.facets]
+    sizes = [beta[i] - alpha[i + 1] + 1 for i in range(s - 1)]
+    for k in range(1, s):
+        chain = all(sizes[i] >= sizes[i + 1] for i in range(k - 1)) and all(
+            sizes[i] <= sizes[i + 1] for i in range(k - 1, s - 2)
+        )
+        uppers = all(beta[j - 1] == beta[0] + (j - 1) for j in range(1, k + 1))
+        lowers = all(alpha[m - 1] == alpha[s - 1] - (s - m) for m in range(k + 1, s + 1))
+        if chain and uppers and lowers:
+            return True
+    return False

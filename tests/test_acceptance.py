@@ -12,11 +12,10 @@ from itertools import combinations
 
 import pytest
 
-from edgeideals.classify import classify_facets, is_scm_indecomposable, wsize_chain_check
+from edgeideals.classify import classify_facets, is_scm_indecomposable
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.complexes import (
     SimplicialComplex,
-    boundary_matrices,
     depth_hochster,
     reduced_homology,
 )
@@ -27,7 +26,14 @@ from edgeideals.enumerators import (
 )
 from edgeideals.oracle import oracle_classify_facets, oracle_complex
 
-from conftest import NINE_SCM, SEVEN_ALMOST, SEVEN_NOT_ALMOST, SEVEN_NOT_SCM
+from conftest import (
+    NINE_SCM,
+    SEVEN_ALMOST,
+    SEVEN_NOT_ALMOST,
+    SEVEN_NOT_SCM,
+    boundary_matrices,
+    wsize_chain_check,
+)
 
 SHOWCASE = [SEVEN_NOT_SCM, NINE_SCM, SEVEN_NOT_ALMOST, SEVEN_ALMOST]
 

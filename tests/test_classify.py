@@ -5,13 +5,9 @@ import pytest
 from edgeideals.classify import (
     classify,
     classify_facets,
-    is_almost_cm_closed,
     is_almost_cm_indecomposable,
-    is_approx_cm_closed,
     is_cm_closed,
-    is_scm_closed,
     is_scm_indecomposable,
-    wsize_chain_check,
 )
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.cutsets import cutsets_structural, is_unmixed, krull_dimension
@@ -30,6 +26,7 @@ from conftest import (
     claw,
     path_graph,
     relabel,
+    wsize_chain_check,
 )
 
 
@@ -84,12 +81,13 @@ def test_wsize_chain_matches_main_condition_exhaustive():
 
 
 def test_is_scm_closed_reductions():
+    # the scm verdict of classify(G), read per block across components
     K3 = IntervalFacets(3, ((1, 3),))
-    assert is_scm_closed(union_graph(K3, NINE_SCM))
-    assert not is_scm_closed(union_graph(K3, SEVEN_NOT_SCM))
-    assert is_scm_closed(path_graph(6))
+    assert classify(union_graph(K3, NINE_SCM)).scm
+    assert not classify(union_graph(K3, SEVEN_NOT_SCM)).scm
+    assert classify(path_graph(6)).scm
     with pytest.raises(NotClosedError):
-        is_scm_closed(claw())
+        classify(claw())
 
 
 def test_almost_cm_indecomposable_golden():
@@ -114,18 +112,21 @@ def test_almost_cm_shapes():
 
 
 def test_almost_cm_closed_block_rules():
+    # the almost_cm verdict of classify(G): at most one non-clique block
     K3 = IntervalFacets(3, ((1, 3),))
     case_b = SEVEN_ALMOST
-    assert is_almost_cm_closed(union_graph(K3, case_b))
+    assert classify(union_graph(K3, case_b)).almost_cm
     two_bad = union_graph(IntervalFacets(4, ((1, 3), (2, 4))), IntervalFacets(4, ((1, 3), (2, 4))))
-    assert not is_almost_cm_closed(two_bad)
-    assert is_almost_cm_closed(path_graph(5))  # CM
+    assert not classify(two_bad).almost_cm
+    assert classify(path_graph(5)).almost_cm  # CM
+    with pytest.raises(NotClosedError):
+        classify(claw())
 
 
 def test_approx_equals_almost():
     for F in enumerate_closed_connected(7):
-        G = build_graph(F)
-        assert is_approx_cm_closed(G) == is_almost_cm_closed(G)
+        c = classify(build_graph(F))
+        assert c.approx_cm == c.almost_cm
 
 
 def test_classify_golden_records(nine_graph):

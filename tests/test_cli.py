@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -14,9 +15,10 @@ from edgeideals.cli import (
     run,
 )
 from edgeideals.closed import format_facet_text
+from edgeideals.errors import GraphInputError
 from edgeideals.graphs import format_edge_list
 
-from conftest import NINE_SCM, SEVEN_NOT_SCM, claw
+from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, path_graph
 
 SEVEN_EDGE_TEXT = b"""7
 1 2
@@ -79,6 +81,21 @@ def test_resource_cap_exit_3():
 
 def format_facet_text_for(n):
     return f"closed {n} 1\n1 {n}\n".encode()
+
+
+def test_oracle_variable_cap_comes_before_the_complex(monkeypatch):
+    # the Stanley-Reisner complex of a path has exponentially many facets,
+    # so the 2n <= max_vars cap must be checked before it is built
+    import edgeideals.oracle as oracle_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex built past the variable cap")
+
+    monkeypatch.setattr(oracle_mod, "stanley_reisner_complex", refuse)
+    for command in ("oracle", "verify"):
+        code, out, err = run_argv([command], format_edge_list(path_graph(10)).encode())
+        assert code == EXIT_RESOURCE and out == b""
+        assert err == b"error 3 depth sweep capped at 18 variables (got 20)\n"
 
 
 def test_cutsets_json(seven_graph):
@@ -171,6 +188,38 @@ def test_byte_identical_reruns():
 def test_unknown_flag_is_input_error():
     with pytest.raises(Exception):
         config_from_argv(["classify", "--bogus"])
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    accepted = {
+        "recognize": [], "cutsets": [], "classify": [], "facets": ["--facet-text"],
+        "oracle": ["--max-vars", "--max-faces"], "verify": ["--max-vars", "--max-faces"],
+    }
+    for command, flags in accepted.items():
+        for flag in ("--json", "--facet-text", "--max-vars", "--max-faces"):
+            argv = [command, "--input", "g.txt", flag] + ([] if flag == "--facet-text" else ["5"])
+            if flag in flags:
+                config_from_argv(argv)
+            else:
+                with pytest.raises(GraphInputError, match="unrecognized arguments"):
+                    config_from_argv(argv)
+    with pytest.raises(GraphInputError, match="unrecognized arguments"):
+        config_from_argv(["enumerate", "--n", "4", "--json"])
+    cfg = config_from_argv(["enumerate", "--n", "4", "--random", "2", "--facet-text"])
+    assert (cfg.n, cfg.random_count, cfg.facet_text, cfg.input_path) == (4, 2, True, None)
+    cfg = config_from_argv(["oracle", "--max-vars", "8", "--max-faces", "64"])
+    assert (cfg.input_path, cfg.max_vars, cfg.max_faces) == ("-", 8, 64)
+
+
+def test_cli_import_leaves_out_fractions():
+    import edgeideals
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgeideals.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import edgeideals.cli; "
+            "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_subprocess_entrypoint():

@@ -175,6 +175,23 @@ def test_facet_text_roundtrip():
         parse_facet_text("3\n1 2\n")
 
 
+def test_facet_text_bounds_n_before_building():
+    # n is checked in the parser, before build_graph would list every edge
+    F = parse_facet_text("closed 64 1\n1 64\n")
+    assert build_graph(F).num_edges() == 64 * 63 // 2
+    for n in (65, 100000):
+        with pytest.raises(GraphInputError, match=f"^vertex count {n} outside 1..64$"):
+            parse_facet_text(f"closed {n} 1\n1 {n}\n")
+
+
+def test_facet_text_row_field_count():
+    for row in ("1", "1 2 3"):
+        with pytest.raises(GraphInputError, match="expected 'a b'"):
+            parse_facet_text(f"closed 3 1\n{row}\n")
+    with pytest.raises(GraphInputError, match="non-integer field"):
+        parse_facet_text("closed 3 1\n1 x\n")
+
+
 def test_degenerate_inputs():
     lab, F = recognize_closed(from_edge_list(1, []))
     assert F.facets == ((1, 1),)

@@ -12,19 +12,23 @@ from edgeideals.complexes import (
     _faces_of,
     _minimal_nonfaces,
     _prune_to_maximal,
-    boundary_matrices,
     depth_hochster,
     induced_subcomplex,
     is_cm_reisner,
     is_scm_duval,
     link,
-    pure_skeleton,
     reduced_homology,
 )
 from edgeideals.errors import ResourceCapError
 from edgeideals.graphs import from_edge_list, mask_of, maximal_cliques
 
-from conftest import depth_hochster_ref, is_cm_reisner_ref, is_scm_duval_ref
+from conftest import (
+    boundary_matrices,
+    depth_hochster_ref,
+    is_cm_reisner_ref,
+    is_scm_duval_ref,
+    pure_skeleton,
+)
 
 
 def cx(n, *facets):

@@ -105,19 +105,3 @@ def test_input_validation():
         list(enumerate_closed_indecomposable(1))
     with pytest.raises(ValueError):
         random_closed(3, 0, density_bias=2.0)
-
-
-def test_facet_sequence_spec():
-    from edgeideals.enumerators import FacetSequenceSpec
-
-    spec5 = FacetSequenceSpec(5)
-    assert sum(1 for _ in spec5.stream()) == CONNECTED_COUNTS[5]
-    indec = FacetSequenceSpec(5, indecomposable_only=True)
-    assert sum(1 for _ in indec.stream()) == INDECOMPOSABLE_COUNTS[5]
-    short = FacetSequenceSpec(5, max_facets=2)
-    assert all(F.r <= 2 for F in short.stream())
-    assert sum(1 for _ in short.stream()) < CONNECTED_COUNTS[5]
-    with pytest.raises(ValueError):
-        FacetSequenceSpec(0)
-    with pytest.raises(ValueError):
-        FacetSequenceSpec(3, connected_only=False)
