@@ -460,6 +460,12 @@ def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
     return min(nz) if nz else None
 
 
+def check_var_cap(numvars: int, max_vars: int) -> None:
+    """The depth sweep's variable cap: its tables have 2^numvars entries."""
+    if numvars > max_vars:
+        raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
+
+
 def depth_hochster(
     C: SimplicialComplex,
     numvars: int | None = None,
@@ -491,8 +497,7 @@ def depth_hochster(
         numvars = C.n_vertices
     if numvars != C.n_vertices:
         raise ValueError("numvars must equal the complex's vertex universe")
-    if numvars > max_vars:
-        raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
+    check_var_cap(numvars, max_vars)
     if C.is_void:
         raise ValueError("void complex corresponds to the unit ideal")
     ghosts = numvars - C.support_mask().bit_count()

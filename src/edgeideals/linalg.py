@@ -7,7 +7,8 @@ count - 1)) to limit fill, and the update is then unimodular.  When no
 unit entry is left it pivots on an entry of least absolute value and
 updates the other rows fraction-free (row * p - f * pivot row), dividing
 each updated row by the gcd of its entries.  Everything is Python
-integers; no floating point anywhere.
+integers; no floating point anywhere.  `rank_bareiss` enters the same
+elimination with dense rows.
 """
 
 from __future__ import annotations
@@ -78,3 +79,17 @@ def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
         col_rows.pop(pc, None)
         rank += 1
     return rank
+
+
+def rank_bareiss(rows) -> int:
+    """Rank over Q of a dense integer matrix given as a list of rows.
+
+    The library itself only calls `rank_sparse_pm`; this is the same
+    fraction-free elimination under the name `perfbench/tracing.py` traces.
+    """
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v:
+                cols.setdefault(c, {})[r] = int(v)
+    return rank_sparse_pm(cols)

@@ -33,11 +33,12 @@ from .complexes import (
     DEFAULT_FACE_CAP,
     DEFAULT_VAR_CAP,
     SimplicialComplex,
+    check_var_cap,
     depth_hochster,
     is_cm_reisner,
     is_scm_duval,
 )
-from .errors import NotClosedError, ResourceCapError
+from .errors import NotClosedError
 from .graphs import Graph, _bron_kerbosch, bits
 
 
@@ -147,8 +148,7 @@ def oracle_classify_facets(
     max_faces: int = DEFAULT_FACE_CAP,
 ) -> OracleReport:
     numvars = 2 * F.n
-    if numvars > max_vars:  # the complex can have exponentially many facets
-        raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
+    check_var_cap(numvars, max_vars)  # before the complex: it can have exponentially many facets
     C = oracle_complex(F)
     dim_quotient = C.dim + 1
     depth = depth_hochster(C, numvars, max_vars=max_vars, max_faces=max_faces)

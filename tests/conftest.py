@@ -12,11 +12,12 @@ from edgeideals.complexes import (
     SimplicialComplex,
     _boundary_columns,
     _faces_of,
+    _from_masks,
     induced_subcomplex,
     link,
     reduced_homology,
 )
-from edgeideals.graphs import Graph, from_edge_list
+from edgeideals.graphs import Graph, bits, from_edge_list
 
 
 # The four showcase facet sequences exercised throughout the suite.
@@ -188,9 +189,18 @@ def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
         raise ValueError("void complex has no skeleta")
     if not -1 <= i <= C.dim:
         raise ValueError(f"skeleton dimension {i} outside -1..{C.dim}")
-    return SimplicialComplex.from_faces(
-        C.n_vertices, {s for f in C.facets for s in combinations(sorted(f), i + 1)}
-    )
+    if i == -1:
+        return SimplicialComplex(C.n_vertices, frozenset({frozenset()}))
+    faces: set[int] = set()
+    for fm in C.mask_key:
+        vs = list(bits(fm))
+        if len(vs) >= i + 1:
+            for combo in combinations(vs, i + 1):
+                m = 0
+                for b in combo:
+                    m |= 1 << b
+                faces.add(m)
+    return _from_masks(C.n_vertices, faces)
 
 
 def wsize_chain_check(F: IntervalFacets) -> bool:

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeideals.linalg import rank_sparse_pm
+from edgeideals.linalg import rank_bareiss, rank_sparse_pm
 
 from conftest import rank_fraction_gauss
 
@@ -25,6 +25,12 @@ matrices = st.integers(1, 6).flatmap(
         )
     )
 )
+
+
+@given(matrices)
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_fraction_reference(rows):
+    assert rank_bareiss(rows) == rank_fraction_gauss(rows)
 
 
 @given(matrices)
@@ -51,6 +57,10 @@ def test_sparse_matches_reference_without_unit_entries(rows):
 
 
 def test_edge_cases():
+    assert rank_bareiss([]) == 0
+    assert rank_bareiss([[0, 0], [0, 0]]) == 0
+    assert rank_bareiss([[2]]) == 1
+    assert rank_bareiss([[1, 2], [2, 4]]) == 1
     assert rank_sparse_pm({}) == 0
     assert rank_sparse_pm(to_cols([[0, 0], [0, 0]])) == 0
     assert rank_sparse_pm({0: {0: 2}}) == 1  # no unit entry
