@@ -32,7 +32,7 @@ from .complexes import DEFAULT_FACE_CAP, DEFAULT_VAR_CAP
 from .cutsets import cutsets_bruteforce
 from .enumerators import enumerate_closed_connected, enumerate_closed_indecomposable, random_closed
 from .errors import GraphInputError, NotClosedError, ResourceCapError
-from .graphs import Graph, parse_edge_list
+from .graphs import MAX_VERTICES, Graph, parse_edge_list
 from .oracle import OracleReport, oracle_classify_facets
 
 SCHEMA = "1"
@@ -42,6 +42,10 @@ EXIT_BAD_INPUT = 1
 EXIT_NOT_CLOSED = 2
 EXIT_RESOURCE = 3
 EXIT_MISMATCH = 4
+
+# Exhaustive `enumerate` lists all Catalan(n-1) facet chains in memory
+# before writing (58,786 at n = 12, about 4x more per step).
+ENUMERATE_CAP = 12
 
 
 @dataclass
@@ -226,22 +230,29 @@ def _cmd_verify(config: RunConfig, G: Graph) -> bytes:
 
 
 def _cmd_enumerate(config: RunConfig) -> bytes:
-    if config.n is None:
+    n, count = config.n, config.random_count
+    if n is None:
         raise GraphInputError("enumerate requires --n")
-    if config.random_count is not None:
-        chains = [
-            random_closed(config.n, config.seed + k, config.bias)
-            for k in range(config.random_count)
-        ]
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    if count is not None:
+        if count < 0:
+            raise GraphInputError(f"--random COUNT must be >= 0, got {count}")
+        chains = [random_closed(n, config.seed + k, config.bias) for k in range(count)]
+    elif n > ENUMERATE_CAP:
+        raise ResourceCapError(
+            f"exhaustive enumeration capped at n <= {ENUMERATE_CAP} (got n = {n}); "
+            "use --random for larger n"
+        )
     elif config.indecomposable:
-        chains = list(enumerate_closed_indecomposable(config.n))
+        chains = list(enumerate_closed_indecomposable(n))
     else:
-        chains = list(enumerate_closed_connected(config.n))
+        chains = list(enumerate_closed_connected(n))
     if config.facet_text:
         return "".join(format_facet_text(F) for F in chains).encode()
     return _dump({
         "schema": SCHEMA,
-        "n": config.n,
+        "n": n,
         "count": len(chains),
         "facets_list": [_facets_json(F) for F in chains],
     })

@@ -6,11 +6,16 @@ b_1 < ... < b_r = n.  Equivalently, every closed neighbourhood N[v] is a
 set of consecutive labels; equivalently, i < j < k and {i,k} an edge force
 {i,j} and {j,k} to be edges.  A graph is closed when some labeling is.
 
-Recognition runs a three-sweep lexicographic BFS per component (the
-standard linear-time proper-interval scheme) and then *verifies* the
-candidate ordering with the consecutive-neighbourhood test, so a positive
-answer is always certified; an exhaustive all-labelings oracle lives in
-the test suite only.
+Recognition runs a three-sweep lexicographic BFS per component (LBFS
+then two LBFS+ sweeps, Corneil's proper-interval scheme) and then
+*verifies* the candidate ordering with the consecutive-neighbourhood test,
+so a positive answer is always certified; an exhaustive all-labelings
+oracle lives in the test suite only.  Each sweep is partition refinement
+on bit masks: the unvisited vertices form an ordered list of class masks,
+and visiting v splits every class k into k & N(v) followed by the rest.
+The first sweep runs in G's own vertex space; the LBFS+ sweeps run in the
+rank space of the previous order (bit r stands for its r-th vertex), so
+each tie-break is the lowest or the highest bit of the first class.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import MAX_VERTICES, Graph, bits, component_masks, delete_vertices, from_edge_list
+from .graphs import MAX_VERTICES, Graph, bits, component_masks, from_edge_list, permute_masks
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,11 @@ class ClosedLabeling:
 
     def apply(self, G: Graph) -> Graph:
         """Relabel G; the result's labels map is the identity."""
-        return from_edge_list(G.n, [(self.perm[u], self.perm[v]) for u, v in G.edges()])
+        target = [None] + [p - 1 for p in self.perm[1:]]
+        adj = [0] * (G.n + 1)
+        for v, m in enumerate(permute_masks(G.adj[1:], target), start=1):
+            adj[self.perm[v]] = m
+        return Graph(G.n, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -180,61 +189,89 @@ def reverse_facets(F: IntervalFacets) -> IntervalFacets:
 # -- recognition --------------------------------------------------------------
 
 
-def _lbfs(adj: dict[int, int], verts: list[int], prev: list[int] | None) -> list[int]:
-    """One lexicographic BFS sweep.
+def _sweep(adj, live: int, highest: bool) -> list[int]:
+    """Lexicographic BFS by partition refinement; returns bit positions.
 
-    Labels are lists of decreasing time stamps; the next vertex is the
-    unvisited one with the lexicographically largest label.  Ties go to the
-    smallest vertex on the first sweep and to the vertex latest in `prev`
-    afterwards (the LBFS+ rule), which also makes prev[-1] the start.
+    adj[b] is the neighbour mask of bit b.  The unvisited bits of `live`
+    are kept as an ordered list of class masks, largest label first, so
+    the first class holds the unvisited vertices of lexicographically
+    largest label.  The next vertex is its lowest bit, or its highest when
+    `highest`; visiting v splits every class k into k & N(v), which just
+    gained a time stamp, followed by the rest of k.
     """
-    if prev is None:
-        rank = {v: -v for v in verts}
-    else:
-        rank = {v: i for i, v in enumerate(prev)}
-    labels: dict[int, list[int]] = {v: [] for v in verts}
-    unvisited = set(verts)
     order = []
-    stamp = len(verts)
-    while unvisited:
-        v = max(unvisited, key=lambda w: (labels[w], rank[w]))
-        order.append(v)
-        unvisited.discard(v)
-        for b in bits(adj[v]):
-            u = b + 1
-            if u in unvisited:
-                labels[u].append(stamp)
-        stamp -= 1
+    classes = [live]
+    while classes:
+        first = classes[0]
+        b = first.bit_length() - 1 if highest else (first & -first).bit_length() - 1
+        order.append(b)
+        classes[0] = first ^ (1 << b)
+        nb = adj[b]
+        split = []
+        for k in classes:
+            inside = k & nb
+            if inside:
+                split.append(inside)
+                if inside != k:
+                    split.append(k ^ inside)
+            elif k:
+                split.append(k)
+        classes = split
     return order
 
 
-def _recognize_component(G: Graph) -> tuple[tuple[int, ...], IntervalFacets] | None:
-    """Closed labeling of a connected graph, canonicalized, or None.
+def _in_order(adj, order: list[int]) -> list[int]:
+    """Neighbour masks of the vertices in `order`, relabeled so bit r is order[r]."""
+    target = [None] * len(adj)
+    for r, v in enumerate(order):
+        target[v] = r
+    return permute_masks([adj[v] for v in order], target)
 
-    Returns (perm, facets) with perm[v] the new label of v.  Among the two
-    straight orderings of a connected proper interval graph we keep the one
-    whose flattened facet tuple is lexicographically smaller.
+
+def _lbfs(adj, live: int, prev: list[int] | None) -> list[int]:
+    """One lexicographic BFS sweep over the vertices of mask `live`.
+
+    adj is indexed by 1-based vertex.  Ties go to the smallest vertex on
+    the first sweep, which runs in G's own vertex space where that is the
+    lowest bit.  An LBFS+ sweep (prev given, listing exactly the vertices
+    of `live`) breaks ties towards the vertex latest in prev, which also
+    makes prev[-1] the start; it runs in rank space, where bit r is
+    prev[r], so that vertex is the highest bit.
     """
-    verts = list(range(1, G.n + 1))
-    adj = {v: G.adj[v] for v in verts}
-    pi1 = _lbfs(adj, verts, None)
-    pi2 = _lbfs(adj, verts, pi1)
-    pi3 = _lbfs(adj, verts, pi2)
+    if prev is None:
+        return [b + 1 for b in _sweep(adj[1:], live, False)]
+    ranks = _sweep(_in_order(adj, prev), (1 << len(prev)) - 1, True)
+    return [prev[r] for r in ranks]
+
+
+def _recognize_component(G: Graph, comp: int) -> tuple[tuple[int, ...], IntervalFacets] | None:
+    """Closed labeling of a component of G, canonicalized, or None.
+
+    The component is the vertex mask `comp`.  Returns (perm, facets) with
+    perm[v] the new label of v in 1..|comp| (0 outside comp).  Among the
+    two straight orderings of a connected proper interval graph we keep
+    the one whose flattened facet tuple is lexicographically smaller.
+    """
+    pi1 = _lbfs(G.adj, comp, None)
+    pi2 = _lbfs(G.adj, comp, pi1)
+    pi3 = _lbfs(G.adj, comp, pi2)
+    n_c = len(pi3)
+    try:
+        fwd = interval_facets(Graph(n_c, (0, *_in_order(G.adj, pi3))))
+    except NotClosedError:
+        return None
     perm = [0] * (G.n + 1)
     for pos, v in enumerate(pi3, start=1):
         perm[v] = pos
-    try:
-        fwd = interval_facets(ClosedLabeling(tuple(perm)).apply(G))
-    except NotClosedError:
-        return None
     rev = reverse_facets(fwd)
     if rev.flattened() < fwd.flattened():
-        perm = [0] + [G.n + 1 - perm[v] for v in verts]
+        for v in pi3:
+            perm[v] = n_c + 1 - perm[v]
         fwd = rev
     return tuple(perm), fwd
 
 
-def _component_order(pieces: list[tuple[tuple[int, ...], IntervalFacets, int]]):
+def _component_order(pieces: list[tuple[int, tuple[int, ...], IntervalFacets]]):
     """Order component pieces to make the flattened global facet tuple small.
 
     Greedy pairwise rule: A goes before B when flatten(A,B) <= flatten(B,A).
@@ -245,9 +282,9 @@ def _component_order(pieces: list[tuple[tuple[int, ...], IntervalFacets, int]]):
     def flat(seq):
         out = []
         off = 0
-        for _, fac, n_c in seq:
+        for _, _, fac in seq:
             out.extend(x + off for x in fac.flattened())
-            off += n_c
+            off += fac.n
         return tuple(out)
 
     def cmp(a, b):
@@ -260,31 +297,29 @@ def _component_order(pieces: list[tuple[tuple[int, ...], IntervalFacets, int]]):
 def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """Decide closedness; on success return a canonical labeling and facets.
 
-    Components are recognized separately and laid out consecutively.  The
-    returned facets are reproduced exactly by rebuilding the graph from them
-    and applying the inverse labeling (verified before returning).
+    Components are recognized separately, each as a mask in G's own vertex
+    space, and laid out consecutively; the labeling is indexed by G's own
+    vertices 1..n, whatever G's `labels` map says.  The returned facets are
+    reproduced exactly by rebuilding the graph from them and applying the
+    inverse labeling (verified before returning).
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")
     pieces = []
     for cmask in component_masks(G):
-        sub = delete_vertices(G, G.full_mask & ~cmask)
-        rec = _recognize_component(sub)
+        rec = _recognize_component(G, cmask)
         if rec is None:
             return None
-        perm_local, fac = rec
-        # map: original vertex -> local new label
-        orig_to_local = {sub.labels[v]: perm_local[v] for v in range(1, sub.n + 1)}
-        pieces.append((orig_to_local, fac, sub.n))
+        pieces.append((cmask, *rec))
     pieces = _component_order(pieces)
     perm = [0] * (G.n + 1)
     facets = []
     offset = 0
-    for orig_to_local, fac, n_c in pieces:
-        for orig, local in orig_to_local.items():
-            perm[orig] = offset + local
+    for cmask, perm_local, fac in pieces:
+        for b in bits(cmask):
+            perm[b + 1] = offset + perm_local[b + 1]
         facets.extend((a + offset, b + offset) for a, b in fac.facets)
-        offset += n_c
+        offset += fac.n
     labeling = ClosedLabeling(tuple(perm))
     result = IntervalFacets(G.n, tuple(facets))
     _verify_roundtrip(G, labeling, result)
@@ -292,15 +327,28 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
 
 
 def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
-    rebuilt = build_graph(F)
+    """Check that the graph of F, relabeled by the inverse labeling, is G.
+
+    In the graph of F the closed neighbourhood of label u is the union of
+    the facets containing u, the interval from the lower end of the first
+    to the upper end of the last.  Each is built once as a mask, moved
+    through the inverse labeling and compared with G's adjacency.
+    """
     inv = labeling.inverse()
-    relabeled_adj = [0] * (G.n + 1)
-    for u, v in rebuilt.edges():
-        a, b = inv[u], inv[v]
-        relabeled_adj[a] |= 1 << (b - 1)
-        relabeled_adj[b] |= 1 << (a - 1)
-    if tuple(relabeled_adj) != tuple(G.adj):
-        raise AssertionError("recognition round-trip failed to reproduce the input graph")
+    closed_nbhds = []
+    first = last = 0  # first facet with b >= u, last facet with a <= u
+    for u in range(1, F.n + 1):
+        while F.facets[first][1] < u:
+            first += 1
+        while last + 1 < F.r and F.facets[last + 1][0] <= u:
+            last += 1
+        lo, hi = F.facets[first][0], F.facets[last][1]
+        closed_nbhds.append(((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1))
+    target = [None] + [v - 1 for v in inv[1:]]
+    for u, m in enumerate(permute_masks(closed_nbhds, target), start=1):
+        v = inv[u]
+        if m != G.adj[v] | (1 << (v - 1)):
+            raise AssertionError("recognition round-trip failed to reproduce the input graph")
 
 
 # -- connected cut sets and blocks --------------------------------------------

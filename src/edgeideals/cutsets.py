@@ -176,7 +176,7 @@ def cutsets_closed(G: Graph) -> tuple[CutSetRecord, ...]:
     if rec is None:
         raise ValueError("graph is not closed")
     labeling, facets = rec
-    inv = labeling.inverse()
+    inv = [G.labels[v] for v in labeling.inverse()]  # new label -> name in G's labels
     per_comp = []
     for block in split_components(facets):
         recs = cutsets_structural(block.facets)

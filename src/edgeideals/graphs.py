@@ -1,9 +1,10 @@
 """Simple undirected graphs on the vertex set {1..n}, stored as bit sets.
 
 Vertex v occupies bit v-1 of every mask, so a vertex subset is a plain int
-and set algebra is word arithmetic.  n is capped at 64: the subset sweeps
-downstream assume a vertex set fits in one machine word, and everything in
-this package lives at n <= 10 anyway.
+and set algebra is word arithmetic.  n is capped at 64, so a vertex set fits
+in one machine word: recognition and the classifiers serve every n <= 64,
+while the exhaustive sweeps (cut sets, the homology oracle) carry their own,
+smaller caps.
 
 All public interfaces speak 1-based vertex labels.  Operations that carve a
 subgraph out of a parent keep the parent's names in the `labels` map of the
@@ -39,6 +40,35 @@ def mask_of(vertices) -> int:
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based vertex labels of a mask."""
     return tuple(b + 1 for b in bits(mask))
+
+
+def permute_masks(masks, target) -> list[int]:
+    """Relabel masks: bit v-1 moves to bit target[v], or is dropped if None.
+
+    target is indexed by 1-based vertex (target[0] unused) and must cover
+    every bit set in the masks.  The map is read in 4-bit slices: one table
+    of 16 images per nibble, built by doubling, so a mask costs one lookup
+    per nibble instead of one step per set bit.
+    """
+    images = [0 if t is None else 1 << t for t in target[1:]]
+    images += [0] * (-len(images) % 4)
+    tables = []
+    for i in range(0, len(images), 4):
+        a, b, c, d = images[i : i + 4]
+        ab, cd = a | b, c | d
+        # [0] doubled by a, then by b, then by c, then by d
+        tables.append([0, a, b, ab, c, a | c, b | c, ab | c,
+                       d, a | d, b | d, ab | d, cd, a | cd, b | cd, ab | cd])
+    out = []
+    for m in masks:
+        acc = 0
+        for table in tables:
+            if not m:
+                break
+            acc |= table[m & 15]
+            m >>= 4
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -106,16 +136,12 @@ def delete_vertices(G: Graph, W) -> Graph:
     """
     wmask = W if isinstance(W, int) else mask_of(W)
     keep = [v for v in range(1, G.n + 1) if not (wmask >> (v - 1)) & 1]
-    pos = {v: i + 1 for i, v in enumerate(keep)}  # old vertex -> new label
-    adj = [0] * (len(keep) + 1)
-    for v in keep:
-        m = G.adj[v] & ~wmask
-        acc = 0
-        for b in bits(m):
-            acc |= 1 << (pos[b + 1] - 1)
-        adj[pos[v]] = acc
+    target = [None] * (G.n + 1)  # kept vertex -> its new bit; deleted ones drop out
+    for i, v in enumerate(keep):
+        target[v] = i
+    adj = (0, *permute_masks([G.adj[v] for v in keep], target))
     labels = (0,) + tuple(G.labels[v] for v in keep)
-    return Graph(len(keep), tuple(adj), labels)
+    return Graph(len(keep), adj, labels)
 
 
 def component_masks(G: Graph) -> list[int]:
@@ -197,14 +223,13 @@ def parse_edge_list(text: str) -> Graph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         try:
-            nums = [int(p) for p in parts]
+            nums = [*map(int, parts)]
         except ValueError:
-            raise GraphInputError(f"line {lineno}: expected integers, got {line!r}")
+            raise GraphInputError(f"line {lineno}: expected integers, got {raw.strip()!r}")
         if n is None:
             if len(nums) != 1:
                 raise GraphInputError(f"line {lineno}: expected a single vertex count")

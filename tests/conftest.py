@@ -81,6 +81,46 @@ def all_graphs(n: int):
         yield from_edge_list(n, [pairs[k] for k in range(len(pairs)) if (code >> k) & 1])
 
 
+def lbfs_ref(adj: dict[int, int], verts: list[int], prev: list[int] | None) -> list[int]:
+    """Reference lexicographic BFS sweep: explicit labels and a max scan.
+
+    Labels are lists of decreasing time stamps; the next vertex is the
+    unvisited one with the lexicographically largest label.  Ties go to the
+    smallest vertex on the first sweep and to the vertex latest in `prev`
+    afterwards (the LBFS+ rule), which also makes prev[-1] the start.
+    """
+    if prev is None:
+        rank = {v: -v for v in verts}
+    else:
+        rank = {v: i for i, v in enumerate(prev)}
+    labels: dict[int, list[int]] = {v: [] for v in verts}
+    unvisited = set(verts)
+    order = []
+    stamp = len(verts)
+    while unvisited:
+        v = max(unvisited, key=lambda w: (labels[w], rank[w]))
+        order.append(v)
+        unvisited.discard(v)
+        for b in bits(adj[v]):
+            u = b + 1
+            if u in unvisited:
+                labels[u].append(stamp)
+        stamp -= 1
+    return order
+
+
+def permute_masks_ref(masks, target) -> list[int]:
+    """Reference mask relabeling, one set bit at a time."""
+    out = []
+    for m in masks:
+        acc = 0
+        for b in bits(m):
+            if target[b + 1] is not None:
+                acc |= 1 << target[b + 1]
+        out.append(acc)
+    return out
+
+
 def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
     """Reference Reisner check, read literally off the definition.
 

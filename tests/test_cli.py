@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -14,11 +16,12 @@ from edgeideals.cli import (
     config_from_argv,
     run,
 )
-from edgeideals.closed import format_facet_text
+from edgeideals.closed import build_graph, format_facet_text
+from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import GraphInputError
 from edgeideals.graphs import format_edge_list
 
-from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, path_graph
+from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, path_graph, relabel
 
 SEVEN_EDGE_TEXT = b"""7
 1 2
@@ -172,6 +175,55 @@ def test_enumerate_outputs():
     code, out, _ = run_argv(["enumerate", "--n", "6", "--random", "3", "--seed", "9"])
     doc = json.loads(out)
     assert doc["count"] == 3
+
+
+def test_enumerate_exhaustive_cap(monkeypatch):
+    # exhaustive enumeration holds all Catalan(n-1) chains in memory, so it
+    # stops at ENUMERATE_CAP before building any; --random is not capped
+    import edgeideals.cli as cli_mod
+
+    assert cli_mod.ENUMERATE_CAP == 12
+    monkeypatch.setattr(cli_mod, "enumerate_closed_connected", lambda n: iter(()))
+    assert run_argv(["enumerate", "--n", "12"])[0] == EXIT_OK
+    for extra in ([], ["--indecomposable"], ["--facet-text"]):
+        code, out, err = run_argv(["enumerate", "--n", "13"] + extra)
+        assert code == EXIT_RESOURCE and out == b""
+        assert err == (b"error 3 exhaustive enumeration capped at n <= 12 (got n = 13); "
+                       b"use --random for larger n\n")
+    code, out, _ = run_argv(["enumerate", "--n", "64", "--random", "2"])
+    assert code == EXIT_OK and json.loads(out)["count"] == 2
+
+
+def test_enumerate_rejects_vertex_counts_outside_1_to_64():
+    for n in ("0", "-2", "65", "100"):
+        for extra in ([], ["--random", "2"], ["--random", "2", "--facet-text"]):
+            code, out, err = run_argv(["enumerate", "--n", n] + extra)
+            assert code == EXIT_BAD_INPUT and out == b""
+            assert err == f"error 1 vertex count {n} outside 1..64\n".encode()
+
+
+def test_enumerate_rejects_negative_random_count():
+    code, out, err = run_argv(["enumerate", "--n", "5", "--random", "-3"])
+    assert code == EXIT_BAD_INPUT and out == b""
+    assert err == b"error 1 --random COUNT must be >= 0, got -3\n"
+    code, out, _ = run_argv(["enumerate", "--n", "5", "--random", "0"])
+    assert code == EXIT_OK and json.loads(out)["count"] == 0
+
+
+def test_recognize_output_pinned_on_shuffled_closed_graphs():
+    # the whole stdout of `recognize`, labeling included, on every connected
+    # closed graph with n <= 7 under a seeded label shuffle
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for F in enumerate_closed_connected(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            H = relabel(build_graph(F), {v: p[v - 1] for v in range(1, n + 1)})
+            code, out, err = run_argv(["recognize"], format_edge_list(H).encode())
+            assert code == EXIT_OK, err
+            digest.update(out)
+    assert digest.hexdigest() == "784563b847c5e0ed4d4eb90d4fe93552792bed8367ffcb3f89c81494b709f46e"
 
 
 def test_byte_identical_reruns():

@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edgeideals.classify import classify
 from edgeideals.closed import (
+    ClosedLabeling,
     IntervalFacets,
+    _lbfs,
+    _verify_roundtrip,
     build_graph,
     connected_cutsets,
     decompose_blocks,
@@ -14,9 +20,10 @@ from edgeideals.closed import (
     reverse_facets,
     split_components,
 )
+from edgeideals.cutsets import cutsets_bruteforce, cutsets_closed
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import from_edge_list
-from edgeideals.enumerators import enumerate_closed_connected
+from edgeideals.graphs import component_masks, delete_vertices, from_edge_list, vertices_of
+from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
 from conftest import (
     NINE_SCM,
@@ -25,6 +32,7 @@ from conftest import (
     brute_force_is_closed,
     claw,
     complete_graph,
+    lbfs_ref,
     path_graph,
     relabel,
 )
@@ -230,3 +238,129 @@ def test_recognition_near_miss_perturbations():
             edges.symmetric_difference_update({e})
             H = from_edge_list(6, edges)
             assert (recognize_closed(H) is not None) == brute_force_is_closed(H)
+
+
+# -- the LexBFS sweeps against the explicit-label reference ---------------------
+
+
+def _shuffled(G, rng):
+    p = list(range(1, G.n + 1))
+    rng.shuffle(p)
+    return relabel(G, {v: p[v - 1] for v in range(1, G.n + 1)})
+
+
+def _random_graph(n, rng):
+    p = rng.random()
+    return from_edge_list(n, [(i, j) for i in range(1, n + 1)
+                              for j in range(i + 1, n + 1) if rng.random() < p])
+
+
+def _closed_graph(n, rng):
+    return _shuffled(build_graph(random_closed(n, rng.getrandbits(64), rng.random())), rng)
+
+
+def _twin_heavy(rng):
+    # a small closed graph with every vertex blown up into a clique of twins
+    k = rng.randint(1, 8)
+    base = build_graph(random_closed(k, rng.getrandbits(64), rng.random()))
+    sizes = [rng.randint(1, 64 // k) for _ in range(k)]
+    start = [1]
+    for t in sizes:
+        start.append(start[-1] + t)
+    blob = lambda v: range(start[v - 1], start[v])
+    edges = [(x, y) for v in range(1, k + 1) for x in blob(v) for y in blob(v) if x < y]
+    edges += [(x, y) for u, v in base.edges() for x in blob(u) for y in blob(v)]
+    return _shuffled(from_edge_list(start[-1] - 1, edges), rng)
+
+
+def _pieces(rng):
+    # a disjoint union of arbitrary and closed pieces, with labels interleaved
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(1, 16)
+        piece = _closed_graph(size, rng) if rng.random() < 0.5 else _random_graph(size, rng)
+        edges += [(u + n, v + n) for u, v in piece.edges()]
+        n += size
+    return _shuffled(from_edge_list(n, edges), rng)
+
+
+@st.composite
+def sweep_graphs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("arbitrary", "pieces", "twins", "closed")))
+    if kind == "arbitrary":
+        return _random_graph(draw(st.integers(1, 64)), rng)
+    if kind == "pieces":
+        return _pieces(rng)
+    if kind == "twins":
+        return _twin_heavy(rng)
+    return _closed_graph(draw(st.integers(1, 64)), rng)
+
+
+@given(sweep_graphs())
+@settings(max_examples=250, deadline=None)
+def test_lbfs_sweeps_match_reference(G):
+    # all three sweeps, on the whole vertex set and on each component alone
+    adj = dict(enumerate(G.adj))
+    for live in [G.full_mask] + component_masks(G):
+        verts = list(vertices_of(live))
+        prev = None
+        for _ in range(3):
+            got = _lbfs(G.adj, live, prev)
+            want = lbfs_ref(adj, verts, prev)
+            assert got == want
+            prev = want
+
+
+def test_lbfs_tie_breaks():
+    # the edgeless graph is all ties: smallest vertex first, then latest in prev
+    G = from_edge_list(5, [])
+    assert _lbfs(G.adj, G.full_mask, None) == [1, 2, 3, 4, 5]
+    assert _lbfs(G.adj, G.full_mask, [2, 5, 1, 4, 3]) == [3, 4, 1, 5, 2]
+    # on the path 1-2-3 the neighbour of the start comes before the non-neighbour
+    P = path_graph(3)
+    assert _lbfs(P.adj, P.full_mask, None) == [1, 2, 3]
+    assert _lbfs(P.adj, P.full_mask, [1, 2, 3]) == [3, 2, 1]
+    assert _lbfs(P.adj, 0b101, None) == [1, 3]
+
+
+# -- relabeling and certification ----------------------------------------------
+
+
+def test_closed_labeling_apply_matches_edge_relabel():
+    rng = random.Random(41)
+    for n in (1, 2, 3, 4, 5, 17, 63, 64):
+        G = _random_graph(n, rng)
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        assert ClosedLabeling((0, *p)).apply(G) == relabel(G, {v: p[v - 1] for v in range(1, n + 1)})
+
+
+def test_roundtrip_check_rejects_wrong_facets_or_labeling():
+    G = path_graph(4)
+    lab, F = recognize_closed(G)
+    _verify_roundtrip(G, lab, F)
+    for facets in (((1, 2), (2, 4)), ((1, 2), (3, 4)), ((1, 4),), ((1, 1), (2, 3), (3, 4))):
+        with pytest.raises(AssertionError, match="round-trip"):
+            _verify_roundtrip(G, lab, IntervalFacets(4, facets))
+    with pytest.raises(AssertionError, match="round-trip"):
+        _verify_roundtrip(G, ClosedLabeling((0, 2, 1, 3, 4)), F)
+
+
+def test_recognition_of_induced_subgraphs():
+    # delete_vertices keeps the parent's names in `labels`, which recognition
+    # must not read: it works in H's own vertex space
+    H = delete_vertices(path_graph(5), {1})
+    assert H.labels[1:] == (2, 3, 4, 5)
+    lab, F = recognize_closed(H)
+    assert lab.perm[1:] == (1, 2, 3, 4) and F.facets == ((1, 2), (2, 3), (3, 4))
+    rng = random.Random(29)
+    for n in (6, 7):
+        for F in enumerate_closed_connected(n):
+            G = _shuffled(build_graph(F), rng)
+            W = rng.sample(range(1, n + 1), rng.randint(1, n - 1))
+            H = delete_vertices(G, W)
+            fresh = from_edge_list(H.n, H.edges())  # the same graph, identity labels
+            assert recognize_closed(H) == recognize_closed(fresh)
+            assert classify(H) == classify(fresh)
+            assert cutsets_closed(H) == cutsets_bruteforce(H)

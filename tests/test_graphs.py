@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeideals.errors import GraphInputError
 from edgeideals.graphs import (
@@ -9,9 +13,10 @@ from edgeideals.graphs import (
     from_edge_list,
     maximal_cliques,
     parse_edge_list,
+    permute_masks,
 )
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, permute_masks_ref
 from edgeideals.closed import build_graph
 from edgeideals.enumerators import enumerate_closed_connected
 
@@ -121,3 +126,62 @@ def test_component_refinement_under_larger_deletions():
         large = connected_components(delete_vertices(G, {2, 4}))
         for part in large:
             assert any(set(part) <= set(p) for p in small)
+
+
+def test_edge_list_error_messages():
+    cases = {
+        "3\n1 x\n": "line 2: expected integers, got '1 x'",
+        "# head\n\n 3 \n\t1  2 y  \n": "line 4: expected integers, got '1  2 y'",
+        "x\n": "line 1: expected integers, got 'x'",
+        "3\n1 #2\n": "line 2: expected integers, got '1 #2'",
+        "3 4\n": "line 1: expected a single vertex count",
+        "  #3\n3\n1 2\n2 3 1\n": "line 4: expected 'u v'",
+        "3\n1\n": "line 2: expected 'u v'",
+        "": "empty edge-list input",
+        "# only\n\n \t\n": "empty edge-list input",
+    }
+    for text, message in cases.items():
+        with pytest.raises(GraphInputError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message, text
+    # comment marker on the first token only, whitespace of any kind
+    G = parse_edge_list("#x\n 3\r\n\t# 1 3\n1\t2 \n")
+    assert G.n == 3 and G.edges() == ((1, 2),)
+
+
+@given(st.integers(1, 64), st.randoms(use_true_random=False))
+@example(64, random.Random(0))
+@example(5, random.Random(1))
+@example(7, random.Random(2))
+@settings(max_examples=300, deadline=None)
+def test_permute_masks_matches_bitwise_reference(n, rng):
+    # injective targets anywhere in one word, some bits dropped (None)
+    target = [None] + rng.sample(range(64), n)
+    for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+        target[v] = None
+    masks = [rng.getrandbits(n) for _ in range(8)] + [0, (1 << n) - 1]
+    assert permute_masks(masks, target) == permute_masks_ref(masks, target)
+
+
+def test_permute_masks_full_word_and_ragged_tail():
+    for n in (1, 2, 3, 4, 5, 6, 7, 9, 63, 64):
+        full = (1 << n) - 1
+        reverse = [None] + [n - v for v in range(1, n + 1)]
+        assert permute_masks([full, 1, 1 << (n - 1)], reverse) == [full, 1 << (n - 1), 1]
+        shift = [None] + [64 - n + v - 1 for v in range(1, n + 1)]  # to the top of the word
+        assert permute_masks([full], shift) == [full << (64 - n)]
+
+
+def test_delete_vertices_matches_edge_reference():
+    rng = random.Random(13)
+    for n in (1, 4, 7, 33, 64):
+        for _ in range(10):
+            G = from_edge_list(n, [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, n + 1) if rng.random() < 0.3])
+            W = set(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
+            keep = [v for v in range(1, n + 1) if v not in W]
+            pos = {v: i + 1 for i, v in enumerate(keep)}
+            H = delete_vertices(G, W)
+            want = from_edge_list(len(keep), [(pos[u], pos[v]) for u, v in G.edges()
+                                              if u in pos and v in pos])
+            assert H.adj == want.adj and H.labels == (0, *keep)
