@@ -46,6 +46,9 @@ EXIT_MISMATCH = 4
 # Exhaustive `enumerate` lists all Catalan(n-1) facet chains in memory
 # before writing (58,786 at n = 12, about 4x more per step).
 ENUMERATE_CAP = 12
+# `enumerate --random COUNT` holds COUNT chains and their JSON in memory
+# too: about 2.4 KB per chain at n = 64, some 60 MB at the cap.
+RANDOM_COUNT_CAP = 20_000
 
 
 @dataclass
@@ -238,6 +241,10 @@ def _cmd_enumerate(config: RunConfig) -> bytes:
     if count is not None:
         if count < 0:
             raise GraphInputError(f"--random COUNT must be >= 0, got {count}")
+        if count > RANDOM_COUNT_CAP:
+            raise ResourceCapError(
+                f"random enumeration capped at COUNT <= {RANDOM_COUNT_CAP} (got COUNT = {count})"
+            )
         chains = [random_closed(n, config.seed + k, config.bias) for k in range(count)]
     elif n > ENUMERATE_CAP:
         raise ResourceCapError(

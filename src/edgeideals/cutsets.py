@@ -14,29 +14,28 @@ as unions of consecutive-clique intersections subject to a gap condition.
 Their agreement on every connected closed graph is the executable content
 of the structure theorem and is pinned by the acceptance suite.
 
-The exhaustive sweep applies the removal test to every subset.  It reads
-two tables indexed by vertex mask, filled in one pass before the sweep:
-comp (a bytearray, the component count of each induced subgraph) and nb (an
-array of 32-bit words, the union of the neighbourhoods of a mask's
-vertices; 64-bit above n = 32).  That is 1 + 4 bytes per subset, about 5 MB
-at the n = 20 cap.  With nb a flood step is one lookup, and the components
-of each accepted W are flooded in place in G's own vertex space.  The CLI
-`cutsets` command uses this sweep, for closed and non-closed input alike;
-it shares no code with the structural enumerator, so the two stay an
-independent cross-check.
+The exhaustive sweep rests on one lemma: putting back a simplicial vertex
+(its neighbourhood is a clique) joins at most one component of G minus W,
+so it lies in no cut set.  The sweep visits only the subsets of the other
+vertices and tests each w of W as: N(w) minus W meets two components of G
+minus W.  Its one table holds the neighbourhood union of each vertex mask
+(4 MB at the n = 20 cap).  The CLI `cutsets` command runs it on any graph;
+it shares no code with the structural enumerator.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
 from .closed import IntervalFacets, connected_cutsets
 from .errors import ResourceCapError
-from .graphs import Graph, mask_of, vertices_of
+from .graphs import Graph, mask_of, simplicial_mask, vertices_of
 
 BRUTE_FORCE_CAP = 20  # 2^n subset sweep
+_FILL_CHUNK = 1 << 12  # words per slice of the neighbourhood table fill
 
 
 @dataclass(frozen=True)
@@ -60,33 +59,24 @@ class CutSetRecord:
         return (len(self.W), self.W)
 
 
-def _component_count_table(G: Graph) -> tuple[bytearray, array]:
-    """comp[m] = number of components of G[m]; nb[m] = union of adj over m.
-
-    Both are filled in one ascending pass, block by block: the masks whose
-    highest vertex is v are [2^(v-1), 2^v).  nb[m] extends nb[m minus v],
-    so one lookup yields the neighbourhood of a whole vertex set.  comp[m]
-    floods the component of v inside m and strips it; the remainder (a
-    smaller mask) is already known.
-    """
-    adj = G.adj
-    comp = bytearray(G.full_mask + 1)  # at most n <= 64 components
+def _neighbourhood_table(G: Graph) -> array:
+    """nb[m] = union of adj over m, filled in place: the masks whose highest
+    vertex is v are [2^(v-1), 2^v), and nb[m] = nb[m minus v] | adj[v], one
+    slice of up to _FILL_CHUNK words at a time, ORed as a single integer."""
     nb = array("I" if G.n <= 32 else "Q", [0]) * (G.full_mask + 1)
-    for v in range(1, G.n + 1):
-        top = 1 << (v - 1)
-        a = adj[v]
-        for m in range(top, top << 1):
-            nb[m] = nb[m ^ top] | a
-            cc = top
-            grown = a & m | top
-            while grown != cc:  # nb[cc] is known: cc lies inside m
-                cc = grown
-                grown = nb[cc] & m | cc
-            comp[m] = 1 + comp[m ^ cc]
-    return comp, nb
+    width = nb.itemsize
+    with memoryview(nb) as words, words.cast("B") as raw:
+        for v in range(1, G.n + 1):
+            top = (1 << (v - 1)) * width  # byte offsets from here on
+            step = min(top, _FILL_CHUNK * width)
+            spread = G.adj[v] * (((1 << 8 * step) - 1) // ((1 << 8 * width) - 1))
+            for lo in range(0, top, step):  # spread holds adj[v] in every word of a slice
+                block = int.from_bytes(raw[lo : lo + step], sys.byteorder) | spread
+                raw[top + lo : top + lo + step] = block.to_bytes(step, sys.byteorder)
+    return nb
 
 
-def _record(G: Graph, nb: array, wmask: int, c: int) -> CutSetRecord:
+def _record(G: Graph, nb: array, wmask: int) -> CutSetRecord:
     """Record of W = wmask, its components flooded in G's own vertex space."""
     rest = G.full_mask ^ wmask
     parts = []
@@ -98,33 +88,43 @@ def _record(G: Graph, nb: array, wmask: int, c: int) -> CutSetRecord:
             grown = nb[cc] & rest | cc
         parts.append(tuple(G.labels[v] for v in vertices_of(cc)))
         rest ^= cc
-    if c != len(parts):
-        raise AssertionError(f"component count mismatch for W={vertices_of(wmask)}")
     W = tuple(G.labels[v] for v in vertices_of(wmask))
     return CutSetRecord(W, len(parts), G.n - wmask.bit_count() + len(parts), tuple(parts))
 
 
 def cutsets_bruteforce(G: Graph, cap: int = BRUTE_FORCE_CAP) -> tuple[CutSetRecord, ...]:
-    """All W whose prime is minimal, by the removal test over all 2^n subsets."""
+    """All W whose prime is minimal, by the removal test on every W free of simplicial vertices."""
     if G.n > cap:
-        raise ResourceCapError(
-            f"brute-force cut-set sweep capped at n <= {cap} (got n = {G.n}); "
-            "use the structural enumerator for closed graphs"
-        )
-    comp, nb = _component_count_table(G)
+        raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {cap} (got n = {G.n}); "
+                               "use the structural enumerator for closed graphs")
+    nb = _neighbourhood_table(G)
     full = G.full_mask
-    records = [_record(G, nb, 0, comp[full])]
-    for wmask in range(1, full):  # W = [n] has c(W) = 0, never minimal
+    cand = full & ~simplicial_mask(G)
+    records = [_record(G, nb, 0)]
+    wmask = cand & -cand
+    while wmask:  # the nonempty subsets of cand, ascending
         rest = full ^ wmask
-        cw = comp[rest]
         w = wmask
-        while w:  # putting back any single vertex of W must drop the count
+        while w:  # putting back w must join two components of G - W
             low = w & -w
-            if comp[rest | low] >= cw:
+            nw = nb[low] & rest
+            cc = nw & -nw
+            if nw == cc:  # at most one neighbour left, and so in every W' >= s:
+                s = low | nb[low] & wmask  # skip the later W' that agree with W
+                wmask |= cand & ((s & -s) - 1)  # from the lowest bit of s up
+                break
+            grown = nb[cc] & rest | cc
+            while nw & ~grown:  # flood the component of cc until it holds nw
+                if grown == cc:
+                    break  # it is whole and misses part of nw: w passes
+                cc = grown
+                grown = nb[cc] & rest | cc
+            else:
                 break
             w ^= low
-        if not w:
-            records.append(_record(G, nb, wmask, cw))
+        else:
+            records.append(_record(G, nb, wmask))
+        wmask = (wmask - cand) & cand
     return tuple(sorted(records, key=CutSetRecord.sort_key))
 
 

@@ -212,6 +212,19 @@ def clique_degree(G: Graph, v: int) -> int:
     return sum(1 for m in out if m & b)
 
 
+def simplicial_mask(G: Graph) -> int:
+    """Mask of the simplicial vertices, those whose neighbourhood is a clique.
+
+    An isolated vertex counts: its neighbourhood is the empty clique.
+    """
+    adj = G.adj
+    out = 0
+    for v in range(1, G.n + 1):
+        if all(not adj[v] & ~(adj[b + 1] | 1 << b) for b in bits(adj[v])):
+            out |= 1 << (v - 1)
+    return out
+
+
 # -- edge-list text format ---------------------------------------------------
 #
 #   first non-comment line: "n"

@@ -16,10 +16,10 @@ from edgeideals.cli import (
     config_from_argv,
     run,
 )
-from edgeideals.closed import build_graph, format_facet_text
+from edgeideals.closed import IntervalFacets, build_graph, format_facet_text
 from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import GraphInputError
-from edgeideals.graphs import format_edge_list
+from edgeideals.graphs import format_edge_list, from_edge_list
 
 from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, path_graph, relabel
 
@@ -179,7 +179,7 @@ def test_enumerate_outputs():
 
 def test_enumerate_exhaustive_cap(monkeypatch):
     # exhaustive enumeration holds all Catalan(n-1) chains in memory, so it
-    # stops at ENUMERATE_CAP before building any; --random is not capped
+    # stops at ENUMERATE_CAP before building any; --random has its own cap
     import edgeideals.cli as cli_mod
 
     assert cli_mod.ENUMERATE_CAP == 12
@@ -192,6 +192,28 @@ def test_enumerate_exhaustive_cap(monkeypatch):
                        b"use --random for larger n\n")
     code, out, _ = run_argv(["enumerate", "--n", "64", "--random", "2"])
     assert code == EXIT_OK and json.loads(out)["count"] == 2
+
+
+def test_enumerate_random_count_cap(monkeypatch):
+    # --random COUNT holds COUNT chains in memory, so it stops at
+    # RANDOM_COUNT_CAP before building any
+    import edgeideals.cli as cli_mod
+
+    assert cli_mod.RANDOM_COUNT_CAP == 20_000
+    built = []
+    chain = IntervalFacets(5, ((1, 5),))
+    monkeypatch.setattr(cli_mod, "random_closed",
+                        lambda n, seed, bias: built.append(seed) or chain)
+    code, out, _ = run_argv(["enumerate", "--n", "5", "--random", "20000", "--facet-text"])
+    assert code == EXIT_OK and out == b"closed 5 1\n1 5\n" * 20_000
+    assert built == list(range(20_000))
+    built.clear()
+    for extra in ([], ["--facet-text"], ["--indecomposable"]):
+        code, out, err = run_argv(["enumerate", "--n", "64", "--random", "20001"] + extra)
+        assert code == EXIT_RESOURCE and out == b"" and built == []
+        assert err == b"error 3 random enumeration capped at COUNT <= 20000 (got COUNT = 20001)\n"
+    code, out, err = run_argv(["enumerate", "--n", "65", "--random", "10000000"])
+    assert code == EXIT_BAD_INPUT and err == b"error 1 vertex count 65 outside 1..64\n"
 
 
 def test_enumerate_rejects_vertex_counts_outside_1_to_64():
@@ -224,6 +246,35 @@ def test_recognize_output_pinned_on_shuffled_closed_graphs():
             assert code == EXIT_OK, err
             digest.update(out)
     assert digest.hexdigest() == "784563b847c5e0ed4d4eb90d4fe93552792bed8367ffcb3f89c81494b709f46e"
+
+
+def cutsets_corpus():
+    """Edge-list inputs for the pinned `cutsets` digest: every connected closed
+    graph with n <= 7 under a seeded shuffle, 50 seeded G(n, p) with n <= 12,
+    and the cycles C_5..C_9."""
+    rng = random.Random(9)
+    for n in range(1, 8):
+        for F in enumerate_closed_connected(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            yield relabel(build_graph(F), {v: p[v - 1] for v in range(1, n + 1)})
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        yield from_edge_list(n, [e for e in pairs if rng.random() < p])
+    for n in range(5, 10):
+        yield from_edge_list(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def test_cutsets_output_pinned():
+    # the whole stdout of `cutsets`, closed and non-closed input alike
+    digest = hashlib.sha256()
+    for G in cutsets_corpus():
+        code, out, err = run_argv(["cutsets"], format_edge_list(G).encode())
+        assert code == EXIT_OK, err
+        digest.update(out)
+    assert digest.hexdigest() == "5eeb7eca0db4308f2ddae57b741de08331ca288351f1275e0d9f5e15a0d16447"
 
 
 def test_byte_identical_reruns():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.cutsets import (
     CutSetRecord,
-    _component_count_table,
+    _neighbourhood_table,
     cutsets_bruteforce,
     cutsets_closed,
     cutsets_structural,
@@ -19,10 +20,11 @@ from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import ResourceCapError
 from edgeideals.graphs import (
     bits,
-    component_masks,
     connected_components,
     delete_vertices,
     from_edge_list,
+    mask_of,
+    simplicial_mask,
 )
 
 from conftest import SEVEN_NOT_SCM, all_graphs, complete_graph, path_graph
@@ -157,10 +159,6 @@ def test_record_sorting_is_canonical(seven_graph):
 # Literal references for the exhaustive sweep: every subgraph is carved out
 # with delete_vertices and its components counted from scratch.
 
-def component_count_ref(G, m):
-    return len(component_masks(delete_vertices(G, G.full_mask & ~m)))
-
-
 def neighbourhood_ref(G, m):
     out = 0
     for b in bits(m):
@@ -187,19 +185,35 @@ def cutsets_ref(G):
     return out
 
 
-def check_tables(G):
-    comp, nb = _component_count_table(G)
-    assert isinstance(comp, bytearray) and len(comp) == 1 << G.n
-    assert nb.typecode == "I" and len(nb) == 1 << G.n
-    for m in range(1 << G.n):
-        assert comp[m] == component_count_ref(G, m), (G.edges(), m)
-        assert nb[m] == neighbourhood_ref(G, m), (G.edges(), m)
+def cycle_graph(n):
+    return from_edge_list(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
-def test_component_count_table_exhaustive_small():
+def test_simplicial_mask_matches_definition():
+    # v is simplicial when every two of its neighbours are adjacent
     for n in range(1, 6):
         for G in all_graphs(n):
-            check_tables(G)
+            want = []
+            for v in range(1, n + 1):
+                nbrs = [u for u in range(1, n + 1) if G.has_edge(u, v)]
+                if all(G.has_edge(a, b) for a, b in combinations(nbrs, 2)):
+                    want.append(v)
+            assert simplicial_mask(G) == mask_of(want), G.edges()
+    assert simplicial_mask(delete_vertices(path_graph(2), [1, 2])) == 0
+
+
+def test_neighbourhood_table_matches_reference():
+    # every graph with n <= 4, and a G(15, 0.3) whose top blocks are filled
+    # in several slices
+    rng = random.Random(15)
+    pairs = [(i, j) for i in range(1, 16) for j in range(i + 1, 16)]
+    graphs = [G for n in range(1, 5) for G in all_graphs(n)]
+    graphs.append(from_edge_list(15, [e for e in pairs if rng.random() < 0.3]))
+    for G in graphs:
+        nb = _neighbourhood_table(G)
+        assert nb.typecode == "I" and len(nb) == 1 << G.n
+        for m in range(1 << G.n):
+            assert nb[m] == neighbourhood_ref(G, m), (G.edges(), m)
 
 
 @st.composite
@@ -213,11 +227,19 @@ def random_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
+@example(cycle_graph(4))
+@example(cycle_graph(5))
+@example(cycle_graph(6))
+@example(cycle_graph(7))
+@example(from_edge_list(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]))  # K_{3,3}
 @example(from_edge_list(10, [(1, 2), (2, 3), (5, 6), (6, 7), (5, 7), (9, 10)]))
 @example(from_edge_list(10, []))
+@example(delete_vertices(path_graph(3), [1, 2, 3]))  # n = 0
 @given(random_graphs())
-def test_component_count_table_matches_reference(G):
-    check_tables(G)
+def test_bruteforce_matches_removal_test_reference(G):
+    recs = cutsets_bruteforce(G)
+    assert {r.W: (r.c, r.dim, r.parts) for r in recs} == cutsets_ref(G)
+    assert not any(r.mask & simplicial_mask(G) for r in recs if r.W)
 
 
 def test_bruteforce_matches_removal_test_reference_exhaustive():
