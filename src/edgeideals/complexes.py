@@ -26,12 +26,16 @@ reported, not guessed about.
 Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
 every face sigma of K (the empty face included) has a link with no reduced
 homology below degree t - |sigma|.  It checks K itself, then recurses on
-the vertex links with t - 1.  Reisner is the case "pure, t = dim".  Duval's
-sequential CM criterion (every pure i-skeleton is CM) is the case t = i on
-the subcomplex generated by the facets with more than i vertices, so the
-skeletons are never built.  Results are memoised per (facets, t, face cap)
-and homology profiles per (facets, face cap): a call's answer, or its
-ResourceCapError, does not depend on the calls made before it.
+the vertex links with t - 1; at t = 1 the vertex links reduce to "no
+vertex is a facet on its own", so none is built.  Reisner is the case
+"pure, t = dim".  Duval's sequential CM criterion (every pure i-skeleton
+is CM) is the case t = i on the subcomplex generated by the facets with
+more than i vertices, so the skeletons are never built.  That subcomplex
+only changes at a facet size, and the check is monotone in t, so Duval asks
+once per distinct facet size s: t = s - 1 on the facets with at least s
+vertices.  Results are memoised per (facets, t, face cap) and homology
+profiles per (facets, face cap): a call's answer, or its ResourceCapError,
+does not depend on the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -45,8 +49,8 @@ join of its restrictions to the connected components of the 2-section
 graph of the minimal nonfaces inside the subset, so the sweep computes
 homology per component, with memoization, and adds the degrees.  The sweep
 never looks at links, so depth against Reisner and the oracle's Goodarzi
-filtration check (depth of each facet-size truncation) against Duval
-compare independent code paths.
+filtration check (depth of each facet-size truncation, once per distinct
+facet size) against Duval compare independent code paths.
 """
 
 from __future__ import annotations
@@ -63,10 +67,12 @@ DEFAULT_VAR_CAP = 18
 
 
 def _prune_to_maximal(masks) -> frozenset[int]:
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
     keep: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in keep):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in keep:
+            if m & k == m:
+                break
+        else:
             keep.append(m)
     return frozenset(keep)
 
@@ -363,12 +369,19 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
 
     The empty face asks this of the complex itself; a vertex link, checked
     with t - 1, asks it of every face through that vertex, because links of
-    links are links.  Memoised on (facets, t, cap).
+    links are links.  A True answer at t implies one at t - 1.  Memoised
+    on (facets, t, cap) from t = 2 on.
     """
     if t <= -1:
         return True
     if t == 0:
         return facets_key != frozenset({0})  # only degree -1 is asked for
+    if t == 1:
+        # the vertex links are asked for degree -1 only, and a vertex link
+        # is {emptyset} exactly when that vertex is a facet on its own
+        if any(d < 1 and b for d, b in _profile_masks(facets_key, cap).items()):
+            return False
+        return not any(m.bit_count() == 1 for m in facets_key)
     key = (facets_key, t, cap)
     hit = _cm_cache.get(key)
     if hit is not None:
@@ -395,10 +408,12 @@ def is_cm_reisner(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bo
     Implemented as: the complex is pure of dimension d, and every face sigma
     has a link whose reduced homology vanishes below d - |sigma|.
     """
+    if C.is_void:
+        raise ValueError("void complex")
     sizes = {m.bit_count() for m in C.mask_key}
     if len(sizes) > 1:
         return False  # Cohen-Macaulay complexes are pure
-    return not sizes or _links_acyclic(C.mask_key, sizes.pop() - 1, max_faces)
+    return _links_acyclic(C.mask_key, sizes.pop() - 1, max_faces)
 
 
 def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
@@ -409,15 +424,22 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
     keeps homology below degree i and commutes with taking links, so the
     skeleton is CM iff every face sigma of that subcomplex has a link with
     no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009).
-    The skeleton itself is never built.  Goodarzi's filtration criterion
-    in the oracle reaches the same verdict through the independent Hochster
-    depth sweep.
+    The skeleton itself is never built.
+
+    That subcomplex changes only at a facet size: for every i from the
+    next smaller facet size (or 0) up to s - 1 it is the subcomplex
+    generated by the facets with at least s vertices, and the check at
+    i = s - 1 implies the checks at smaller i.  So each distinct facet size
+    s is checked once, at s - 1; a pure complex needs one check, the one
+    Reisner's criterion makes.  Goodarzi's filtration criterion in the
+    oracle reaches the same verdict through the independent Hochster depth
+    sweep.
     """
     if C.is_void:
         raise ValueError("void complex")
-    for i in range(0, C.dim + 1):
-        kept = frozenset(m for m in C.mask_key if m.bit_count() > i)
-        if not _links_acyclic(kept, i, max_faces):
+    for s in sorted({m.bit_count() for m in C.mask_key}):
+        kept = frozenset(m for m in C.mask_key if m.bit_count() >= s)
+        if not _links_acyclic(kept, s - 1, max_faces):
             return False
     return True
 

@@ -13,8 +13,11 @@ Duval's criterion runs in link form: for each i, the subcomplex generated
 by the facets with more than i vertices must have no reduced homology in
 any face link below degree i - |face|.  Goodarzi's filtration criterion
 asks the same subcomplexes for depth >= i + 1, computed by the Hochster
-sweep over the unions of minimal nonfaces, which never looks at links.  Likewise Reisner's CM
-verdict (links) is checked against depth == dim (Auslander-Buchsbaum).
+sweep over the unions of minimal nonfaces, which never looks at links.
+Both ask once per distinct facet size, since the subcomplex only changes
+there, and Goodarzi reuses the oracle's depth of the whole complex.
+Likewise Reisner's CM verdict (links) is checked against depth == dim
+(Auslander-Buchsbaum).
 
 The oracle certifies invariants of the initial ideal.  Carrying them back
 to the binomial ideal itself uses the standard transfer theorem for
@@ -112,6 +115,8 @@ def goodarzi_check(
     numvars: int,
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
+    *,
+    depth_of_complex: int | None = None,
 ) -> bool:
     """Filtration criterion for sequential CM-ness on the monomial side.
 
@@ -119,22 +124,26 @@ def goodarzi_check(
     components of quotient dimension > i, which is the face ideal of the
     subcomplex generated by the facets with more than i vertices.  The ring
     is sequentially CM iff that quotient has depth >= i + 1 for every
-    0 <= i <= dim - 1, dimensions taken in the ambient numvars variables.
+    0 <= i <= dim C, dimensions taken in the ambient numvars variables.
+
+    That subcomplex changes only at a facet size: for every i from the next
+    smaller facet size (or 0) up to s - 1 it is the one generated by the
+    facets with at least s vertices, and depth >= s there covers all of
+    those i.  So each distinct facet size s costs one depth sweep; below
+    the smallest facet size the subcomplex is C itself, whose depth the
+    oracle has already computed and passes as depth_of_complex.
     """
-    dim_quotient = C.dim + 1
-    depth_by_key: dict[frozenset[int], int] = {}
-    for i in range(0, dim_quotient):
-        kept = frozenset(m for m in C.mask_key if m.bit_count() > i)
-        d = depth_by_key.get(kept)
-        if d is None:
-            sub = SimplicialComplex(
-                C.n_vertices,
-                frozenset(f for f in C.facets if len(f) > i),
-            )
-            d = depth_hochster(sub, numvars, max_vars=max_vars, max_faces=max_faces)
-            depth_by_key[kept] = d
-        if d < i + 1:
+    if C.is_void:
+        raise ValueError("void complex")
+    depth = depth_of_complex  # C is the truncation at the smallest facet size
+    # size 0 is the complex {emptyset}: dim -1 leaves no i to check
+    for s in sorted({m.bit_count() for m in C.mask_key} - {0}):
+        if depth is None:
+            sub = SimplicialComplex(C.n_vertices, frozenset(f for f in C.facets if len(f) >= s))
+            depth = depth_hochster(sub, numvars, max_vars=max_vars, max_faces=max_faces)
+        if depth < s:
             return False
+        depth = None  # every later truncation is a proper subcomplex of C
     return True
 
 
@@ -156,7 +165,9 @@ def oracle_classify_facets(
     if cm != (depth == dim_quotient):
         raise AssertionError("Reisner and Auslander-Buchsbaum disagree; engine bug")
     scm = is_scm_duval(C, max_faces=max_faces)
-    goo = goodarzi_check(C, numvars, max_vars=max_vars, max_faces=max_faces)
+    goo = goodarzi_check(
+        C, numvars, max_vars=max_vars, max_faces=max_faces, depth_of_complex=depth,
+    )
     almost = depth >= dim_quotient - 1
     return OracleReport(
         dim_quotient=dim_quotient,

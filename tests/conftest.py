@@ -13,6 +13,7 @@ from edgeideals.complexes import (
     _boundary_columns,
     _faces_of,
     _from_masks,
+    _profile_masks,
     induced_subcomplex,
     link,
     reduced_homology,
@@ -145,6 +146,72 @@ def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
 def is_scm_duval_ref(C: SimplicialComplex) -> bool:
     """Reference Duval check: every pure i-skeleton, built explicitly, is CM."""
     return all(is_cm_reisner_ref(pure_skeleton(C, i)) for i in range(C.dim + 1))
+
+
+_links_ref_cache: dict[tuple[frozenset[int], int, int], bool] = {}
+
+
+def links_acyclic_ref(facets_key: frozenset[int], t: int, cap: int) -> bool:
+    """Reference link-acyclicity check: every vertex link is built and
+    recursed into at every t, memoised apart from the library's cache.
+
+    Whether H_j(lk sigma) = 0 for every face sigma (the empty face too)
+    and every -1 <= j < t - |sigma| (reduced homology over Q).
+    """
+    if t <= -1:
+        return True
+    if t == 0:
+        return facets_key != frozenset({0})  # only degree -1 is asked for
+    key = (facets_key, t, cap)
+    hit = _links_ref_cache.get(key)
+    if hit is not None:
+        return hit
+    result = not any(d < t and b for d, b in _profile_masks(facets_key, cap).items())
+    if result:
+        support = 0
+        for m in facets_key:
+            support |= m
+        for b in bits(support):
+            v = 1 << b
+            # facets through v, minus v, are already pairwise incomparable
+            lk = frozenset(f & ~v for f in facets_key if f & v)
+            if not links_acyclic_ref(lk, t - 1, cap):
+                result = False
+                break
+    _links_ref_cache[key] = result
+    return result
+
+
+def maximal_masks_ref(masks) -> frozenset[int]:
+    """Reference pruning: the masks contained in no other mask of the family."""
+    family = set(masks)
+    return frozenset(m for m in family if not any(m != k and m & k == m for k in family))
+
+
+def vertex_connectivity_ref(G: Graph) -> int:
+    """Fewest vertices whose removal disconnects G (n - 1 when G is complete).
+
+    Brute force over vertex subsets by increasing size, each tested by a
+    plain search over neighbour sets built from the edge list; none of the
+    library's mask or component helpers is used.
+    """
+    verts = set(range(1, G.n + 1))
+    nbrs: dict[int, set[int]] = {v: set() for v in verts}
+    for u, v in G.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for k in range(G.n - 1):
+        for W in combinations(sorted(verts), k):
+            rest = verts - set(W)
+            start = min(rest)
+            seen, stack = {start}, [start]
+            while stack:
+                for w in (nbrs[stack.pop()] & rest) - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if seen != rest:
+                return k
+    return G.n - 1
 
 
 def depth_hochster_ref(C: SimplicialComplex) -> int:

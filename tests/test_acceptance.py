@@ -32,6 +32,7 @@ from conftest import (
     SEVEN_NOT_ALMOST,
     SEVEN_NOT_SCM,
     boundary_matrices,
+    vertex_connectivity_ref,
     wsize_chain_check,
 )
 
@@ -200,3 +201,24 @@ def test_criterion_7_homology_engine_unit_properties():
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _report(7, "boundary^2 = 0, Euler identity, sphere Betti numbers", t0)
+
+
+def test_criterion_8_connectivity_bounds_depth(oracle_sweep_n8):
+    # depth S/J_G <= n - kappa(G) + 2 for connected non-complete G
+    # (Banerjee, Nunez-Betancourt, Proc. AMS 2017), with kappa by brute force
+    # over vertex subsets: a third depth check that shares no code with the
+    # Hochster sweep or with the classifier
+    t0 = time.time()
+    checked = tight = 0
+    for F, _, rep in oracle_sweep_n8:
+        G = build_graph(F)
+        if G.num_edges() == F.n * (F.n - 1) // 2:
+            continue
+        bound = F.n - vertex_connectivity_ref(G) + 2
+        assert rep.depth <= bound, (F.facets, rep.depth, bound)
+        checked += 1
+        tight += rep.depth == bound
+    assert checked == len(oracle_sweep_n8) - 8  # K_n is the one complete graph per n
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+    _report(8, f"depth <= n - kappa + 2 on {checked} non-complete graphs ({tight} with equality)", t0)

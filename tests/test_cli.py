@@ -248,6 +248,20 @@ def test_recognize_output_pinned_on_shuffled_closed_graphs():
     assert digest.hexdigest() == "784563b847c5e0ed4d4eb90d4fe93552792bed8367ffcb3f89c81494b709f46e"
 
 
+def test_verify_output_pinned():
+    # the whole stdout of `verify` on every connected closed graph with n <= 6
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 7):
+        for F in enumerate_closed_connected(n):
+            code, out, err = run_argv(["verify"], format_facet_text(F).encode())
+            assert code == EXIT_OK, err
+            digest.update(out)
+            count += 1
+    assert count == 65
+    assert digest.hexdigest() == "55be89eb00bdef0fe53fab36e81ad3b450dce0ae15f23401ef07ee4dcaddca7b"
+
+
 def cutsets_corpus():
     """Edge-list inputs for the pinned `cutsets` digest: every connected closed
     graph with n <= 7 under a seeded shuffle, 50 seeded G(n, p) with n <= 12,

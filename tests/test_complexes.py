@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from edgeideals import complexes
 from edgeideals.complexes import (
+    DEFAULT_FACE_CAP,
     SimplicialComplex,
     _betti_from_faces,
     _faces_of,
+    _links_acyclic,
     _minimal_nonfaces,
     _prune_to_maximal,
     depth_hochster,
@@ -21,12 +23,15 @@ from edgeideals.complexes import (
 )
 from edgeideals.errors import ResourceCapError
 from edgeideals.graphs import from_edge_list, mask_of, maximal_cliques
+from edgeideals.oracle import goodarzi_check
 
 from conftest import (
     boundary_matrices,
     depth_hochster_ref,
     is_cm_reisner_ref,
     is_scm_duval_ref,
+    links_acyclic_ref,
+    maximal_masks_ref,
     pure_skeleton,
 )
 
@@ -235,6 +240,27 @@ def test_reductions_match_plain_matrices(C):
     assert reduced_homology(C).nonzero() == plain
 
 
+@settings(max_examples=200, deadline=None)
+@_with_small_cases
+@example(cx(2, (1,)))  # one point: acyclic, but its link {emptyset} fails t = 1
+@given(st.one_of(mixed_complexes(), coned(flag_complexes()), coned(dominated_complexes())))
+def test_links_acyclic_matches_reference_and_is_monotone(C):
+    ts = range(-1, C.dim + 2)
+    got = [_links_acyclic(C.mask_key, t, DEFAULT_FACE_CAP) for t in ts]
+    assert got == [links_acyclic_ref(C.mask_key, t, DEFAULT_FACE_CAP) for t in ts]
+    # an answer True at t is True at t - 1
+    assert all(lower or not higher for lower, higher in zip(got, got[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([0])
+@example([0b011, 0b001, 0b011, 0b110, 0b100])
+@given(st.lists(st.integers(0, 255), max_size=12))
+def test_prune_to_maximal_matches_brute_force(masks):
+    assert _prune_to_maximal(iter(masks)) == maximal_masks_ref(masks)
+
+
 def test_euler_check_catches_a_corrupted_core(monkeypatch):
     # vertex 3 of the hollow triangle is not dominated: deleting it leaves an
     # edge, a cone, against reduced Euler characteristic -1 of the faces
@@ -292,6 +318,7 @@ def test_caps_do_not_depend_on_call_history():
         lambda cap: is_cm_reisner(sphere, max_faces=cap),
         lambda cap: is_scm_duval(sphere, max_faces=cap),
         lambda cap: depth_hochster(sphere, max_faces=cap),
+        lambda cap: goodarzi_check(sphere, 7, max_faces=cap),
     ]
     for check in checks:
         with pytest.raises(ResourceCapError):
@@ -301,7 +328,7 @@ def test_caps_do_not_depend_on_call_history():
             check(64)
     assert reduced_homology(sphere).nonzero() == {5: 1}
     assert is_cm_reisner(sphere) and is_scm_duval(sphere)
-    assert depth_hochster(sphere) == 6
+    assert depth_hochster(sphere) == 6 and goodarzi_check(sphere, 7)
 
 
 def test_depth_simple_cases():

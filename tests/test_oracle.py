@@ -94,6 +94,50 @@ def test_goodarzi_examples():
     assert goodarzi_check(full, 4)
 
 
+def test_void_complex_is_rejected_by_every_criterion():
+    void = SimplicialComplex(3, frozenset())
+    for check in (is_cm_reisner, is_scm_duval, depth_hochster, lambda C: goodarzi_check(C, 3)):
+        with pytest.raises(ValueError, match="void complex"):
+            check(void)
+
+
+def _closed_n6():
+    for n in range(1, 7):
+        yield from enumerate_closed_connected(n)
+
+
+def test_oracle_sweeps_depth_once_per_distinct_truncation(monkeypatch):
+    # the oracle sweeps the complex itself; Goodarzi reuses that depth and
+    # sweeps each further facet-size truncation once, by increasing size,
+    # up to the first one that fails
+    import edgeideals.oracle as oracle_mod
+
+    swept = []
+    real = oracle_mod.depth_hochster
+
+    def counted(C, *args, **kwargs):
+        swept.append(C.mask_key)
+        return real(C, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "depth_hochster", counted)
+    for F in [*_closed_n6(), SEVEN_NOT_SCM, SEVEN_ALMOST]:
+        swept.clear()
+        rep = oracle_classify_facets(F)
+        key = oracle_complex(F).mask_key
+        truncations = [
+            frozenset(m for m in key if m.bit_count() >= s)
+            for s in sorted({m.bit_count() for m in key})
+        ]
+        assert swept == truncations[:len(swept)], F.facets
+        assert len(swept) == len(truncations) or not rep.scm_goodarzi, F.facets
+
+
+def test_standalone_goodarzi_matches_the_oracle_n6():
+    for F in _closed_n6():
+        rep = oracle_classify_facets(F)
+        assert goodarzi_check(oracle_complex(F), 2 * F.n) == rep.scm_goodarzi, F.facets
+
+
 def test_duval_on_showcase_graphs():
     assert not is_scm_duval(oracle_complex(SEVEN_NOT_SCM))
     assert is_scm_duval(oracle_complex(SEVEN_ALMOST))
