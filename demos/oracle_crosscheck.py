@@ -45,5 +45,5 @@ print(f"{'(n, a, b)':<12} {'oracle depth':>13} {'n + a - b + 1':>14}")
 print("-" * 41)
 for n, a, b in [(4, 2, 3), (5, 2, 4), (6, 3, 4), (7, 2, 6), (7, 4, 5)]:
     C = oracle_complex(IntervalFacets(n, ((1, b), (a, n))))
-    d = depth_hochster(C, 2 * n)
+    d = depth_hochster(C)
     print(f"{str((n, a, b)):<12} {d:>13} {n + a - b + 1:>14}")

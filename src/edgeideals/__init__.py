@@ -19,18 +19,14 @@ from .closed import (
     split_components,
 )
 from .complexes import (
-    HomologyProfile,
     SimplicialComplex,
     depth_hochster,
     is_cm_reisner,
     is_scm_duval,
-    link,
-    reduced_homology,
 )
 from .cutsets import (
     CutSetRecord,
     cutsets_bruteforce,
-    cutsets_closed,
     cutsets_structural,
     filtration_components,
     is_unmixed,
@@ -42,7 +38,7 @@ from .enumerators import (
     random_closed,
 )
 from .errors import GraphInputError, NotClosedError, ResourceCapError
-from .graphs import Graph, clique_degree, connected_components, delete_vertices, from_edge_list
+from .graphs import Graph, clique_degree, from_edge_list
 from .oracle import (
     OracleReport,
     goodarzi_check,
@@ -61,7 +57,6 @@ __all__ = [
     "CutSetRecord",
     "Graph",
     "GraphInputError",
-    "HomologyProfile",
     "IntervalFacets",
     "NotClosedError",
     "OracleReport",
@@ -71,13 +66,10 @@ __all__ = [
     "classify",
     "classify_facets",
     "clique_degree",
-    "connected_components",
     "connected_cutsets",
     "cutsets_bruteforce",
-    "cutsets_closed",
     "cutsets_structural",
     "decompose_blocks",
-    "delete_vertices",
     "depth_hochster",
     "enumerate_closed_connected",
     "enumerate_closed_indecomposable",
@@ -90,12 +82,10 @@ __all__ = [
     "is_scm_duval",
     "is_unmixed",
     "krull_dimension",
-    "link",
     "oracle_classify",
     "oracle_classify_facets",
     "random_closed",
     "recognize_closed",
-    "reduced_homology",
     "split_components",
     "stanley_reisner_complex",
 ]

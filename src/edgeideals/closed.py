@@ -103,7 +103,7 @@ class ClosedLabeling:
         return tuple(inv)
 
     def apply(self, G: Graph) -> Graph:
-        """Relabel G; the result's labels map is the identity."""
+        """Relabel G: vertex v of G becomes vertex perm[v] of the result."""
         target = [None] + [p - 1 for p in self.perm[1:]]
         adj = [0] * (G.n + 1)
         for v, m in enumerate(permute_masks(G.adj[1:], target), start=1):
@@ -297,11 +297,10 @@ def _component_order(pieces: list[tuple[int, tuple[int, ...], IntervalFacets]]):
 def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """Decide closedness; on success return a canonical labeling and facets.
 
-    Components are recognized separately, each as a mask in G's own vertex
-    space, and laid out consecutively; the labeling is indexed by G's own
-    vertices 1..n, whatever G's `labels` map says.  The returned facets are
-    reproduced exactly by rebuilding the graph from them and applying the
-    inverse labeling (verified before returning).
+    Components are recognized separately, each as a vertex mask of G, and
+    laid out consecutively; the labeling is indexed by G's vertices 1..n.
+    The returned facets are reproduced exactly by rebuilding the graph from
+    them and applying the inverse labeling (verified before returning).
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")

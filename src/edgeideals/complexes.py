@@ -1,9 +1,12 @@
-"""Simplicial complexes and exact rational homology.
+"""Simplicial complexes and the three homological criteria of the oracle.
 
-The engine computes reduced simplicial homology over Q by exact integer
-elimination on boundary matrices.  Three homotopy-preserving reductions are
-applied first, because the complexes arising from monomial-ideal sweeps are
-huge but overwhelmingly contractible:
+The surface is `SimplicialComplex` and what the oracle asks of it:
+Reisner's Cohen-Macaulay test, Duval's sequential CM test and depth by
+Hochster's formula.  Underneath, an engine computes reduced simplicial
+homology over Q by exact integer elimination on boundary matrices, for the
+criteria only; it has no public entry.  Three homotopy-preserving
+reductions are applied first, because the complexes arising from
+monomial-ideal sweeps are huge but overwhelmingly contractible:
 
   * split into vertex-disjoint pieces (homology adds, with the usual
     correction in degree 0),
@@ -20,8 +23,8 @@ which catches reduction bugs at the source.
 
 Conventions: the complex {emptyset} has reduced homology Q in degree -1;
 the void complex (no faces at all) has none anywhere.  Vertices of a
-complex live in {1..n_vertices}; vertices in no facet are ghosts and are
-reported, not guessed about.
+complex live in {1..n_vertices}; vertices in no facet are ghosts, and the
+depth sweep counts each as a variable in the face ideal.
 
 Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
 every face sigma of K (the empty face included) has a link with no reduced
@@ -64,6 +67,7 @@ from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
 DEFAULT_VAR_CAP = 18
+MAX_VAR_CAP = 32  # the depth sweep's tables hold one bit per variable
 
 
 def _prune_to_maximal(masks) -> frozenset[int]:
@@ -140,37 +144,6 @@ class SimplicialComplex:
         for m in self._mask_key:
             s |= m
         return s
-
-    def ghost_vertices(self) -> tuple[int, ...]:
-        """Universe vertices that are not faces (possible after restriction)."""
-        s = self.support_mask()
-        return tuple(v for v in range(1, self.n_vertices + 1) if not (s >> (v - 1)) & 1)
-
-    def has_face(self, face) -> bool:
-        m = mask_of(face)
-        return any(m & f == m for f in self._mask_key)
-
-    def f_vector(self, max_faces: int = DEFAULT_FACE_CAP) -> dict[int, int]:
-        """Number of faces per dimension (including the empty face at -1)."""
-        out: dict[int, int] = {}
-        for f in _faces_of(self._mask_key, max_faces):
-            d = f.bit_count() - 1
-            out[d] = out.get(d, 0) + 1
-        return out
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Dimensions of reduced rational homology, degree by degree."""
-
-    reduced_betti: tuple[tuple[int, int], ...]  # (degree, betti), degrees -1..dim
-
-    def nonzero(self) -> dict[int, int]:
-        return {d: b for d, b in self.reduced_betti if b}
-
-    def euler(self) -> int:
-        return sum(b if d % 2 == 0 else -b for d, b in self.reduced_betti)
-
 
 # -- faces, collapses, boundary matrices ---------------------------------------
 
@@ -326,38 +299,6 @@ def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> d
     return result
 
 
-def reduced_homology(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> HomologyProfile:
-    """Reduced rational homology in every degree -1..dim."""
-    nz = _profile_masks(C.mask_key, max_faces)
-    if C.is_void:
-        return HomologyProfile(())
-    return HomologyProfile(tuple((d, nz.get(d, 0)) for d in range(-1, C.dim + 1)))
-
-
-# -- links and restrictions ---------------------------------------------------
-
-
-def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
-    return SimplicialComplex(
-        n_vertices, frozenset(frozenset(b + 1 for b in bits(m)) for m in masks)
-    )
-
-
-def link(C: SimplicialComplex, face) -> SimplicialComplex:
-    """link(sigma) = {tau : tau disjoint from sigma, tau union sigma a face}."""
-    sigma = mask_of(face)
-    if not any(sigma & f == sigma for f in C.mask_key):
-        raise ValueError(f"{sorted(face)} is not a face of the complex")
-    masks = [f & ~sigma for f in C.mask_key if f & sigma == sigma]
-    return _from_masks(C.n_vertices, _prune_to_maximal(masks))
-
-
-def induced_subcomplex(C: SimplicialComplex, vertices) -> SimplicialComplex:
-    """Faces of C contained in the given vertex set (same universe)."""
-    sigma = mask_of(vertices)
-    return _from_masks(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
-
-
 # -- Reisner / Duval criteria ---------------------------------------------------
 
 _cm_cache: dict[tuple[frozenset[int], int, int], bool] = {}
@@ -483,25 +424,29 @@ def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
 
 
 def check_var_cap(numvars: int, max_vars: int) -> None:
-    """The depth sweep's variable cap: its tables have 2^numvars entries."""
+    """The depth sweep's variable cap: its tables have up to 2^numvars
+    entries, each a 32-bit mask with one bit per variable, so no cap above
+    32 is accepted."""
+    if max_vars > MAX_VAR_CAP:
+        raise ValueError(f"variable cap {max_vars} exceeds the depth sweep's limit of {MAX_VAR_CAP}")
     if numvars > max_vars:
         raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
 
 
 def depth_hochster(
     C: SimplicialComplex,
-    numvars: int | None = None,
+    *,
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
 ) -> int:
-    """depth of (polynomial ring in numvars variables) / (face ideal of C).
+    """depth of K[x_1..x_N] / (face ideal of C), N = C.n_vertices.
 
     The projective dimension is the best value of |sigma| - 1 - d over
     vertex subsets sigma and degrees d with nonzero reduced homology of the
-    induced subcomplex on sigma; depth = numvars - pd.  Universe vertices
+    induced subcomplex on sigma; depth = N - pd.  Universe vertices
     missing from every facet contribute variables contained in the ideal
     and shift pd up by their count.  For the zero ideal (full simplex) the
-    answer is numvars.
+    answer is N.
 
     Only unions of minimal nonfaces can contribute (any other sigma has a
     cone point), so the sweep runs over those, in local coordinates on the
@@ -515,10 +460,7 @@ def depth_hochster(
     the lowest nonzero degree of component j, memoised per component.  The
     2^m tables are allocated only after the variable cap is checked.
     """
-    if numvars is None:
-        numvars = C.n_vertices
-    if numvars != C.n_vertices:
-        raise ValueError("numvars must equal the complex's vertex universe")
+    numvars = C.n_vertices
     check_var_cap(numvars, max_vars)
     if C.is_void:
         raise ValueError("void complex corresponds to the unit ideal")

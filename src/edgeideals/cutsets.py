@@ -42,8 +42,8 @@ _FILL_CHUNK = 1 << 12  # words per slice of the neighbourhood table fill
 class CutSetRecord:
     """One (possibly empty) cut set W with its minimal-prime data.
 
-    parts holds the vertex sets of the components of G minus W, in the
-    labels of the graph handed to the enumerator.  dim = n - |W| + c.
+    parts holds the vertex sets of the components of G minus W, each sorted,
+    in order of their smallest vertex.  dim = n - |W| + c.
     """
 
     W: tuple[int, ...]
@@ -77,7 +77,7 @@ def _neighbourhood_table(G: Graph) -> array:
 
 
 def _record(G: Graph, nb: array, wmask: int) -> CutSetRecord:
-    """Record of W = wmask, its components flooded in G's own vertex space."""
+    """Record of W = wmask, its components flooded through the nb table."""
     rest = G.full_mask ^ wmask
     parts = []
     while rest:  # components come out sorted by their smallest vertex
@@ -86,10 +86,10 @@ def _record(G: Graph, nb: array, wmask: int) -> CutSetRecord:
         while grown != cc:
             cc = grown
             grown = nb[cc] & rest | cc
-        parts.append(tuple(G.labels[v] for v in vertices_of(cc)))
+        parts.append(vertices_of(cc))
         rest ^= cc
-    W = tuple(G.labels[v] for v in vertices_of(wmask))
-    return CutSetRecord(W, len(parts), G.n - wmask.bit_count() + len(parts), tuple(parts))
+    c = len(parts)
+    return CutSetRecord(vertices_of(wmask), c, G.n - wmask.bit_count() + c, tuple(parts))
 
 
 def cutsets_bruteforce(G: Graph, cap: int = BRUTE_FORCE_CAP) -> tuple[CutSetRecord, ...]:
@@ -161,44 +161,6 @@ def cutsets_structural(F: IntervalFacets) -> tuple[CutSetRecord, ...]:
             c = t + 1
             records.append(CutSetRecord(tuple(wverts), c, n - len(wverts) + c, tuple(parts)))
     return tuple(sorted(records, key=CutSetRecord.sort_key))
-
-
-def cutsets_closed(G: Graph) -> tuple[CutSetRecord, ...]:
-    """Cut sets of an arbitrary closed graph.
-
-    Components contribute independently: W is a cut set of G iff its trace
-    on every component is a cut set there or empty.  Records come back in
-    the labels of G.
-    """
-    from .closed import recognize_closed, split_components
-
-    rec = recognize_closed(G)
-    if rec is None:
-        raise ValueError("graph is not closed")
-    labeling, facets = rec
-    inv = [G.labels[v] for v in labeling.inverse()]  # new label -> name in G's labels
-    per_comp = []
-    for block in split_components(facets):
-        recs = cutsets_structural(block.facets)
-        mapped = []
-        for r in recs:
-            W = tuple(sorted(inv[v + block.start - 1] for v in r.W))
-            parts = tuple(tuple(sorted(inv[v + block.start - 1] for v in p)) for p in r.parts)
-            mapped.append((W, r.c, parts))
-        per_comp.append(mapped)
-    combined = [((), 0, ())]
-    for comp_recs in per_comp:
-        combined = [
-            (w0 + w1, c0 + c1, p0 + p1)
-            for (w0, c0, p0) in combined
-            for (w1, c1, p1) in comp_recs
-        ]
-    out = []
-    for w, c, parts in combined:
-        W = tuple(sorted(w))
-        parts = tuple(sorted(parts, key=lambda p: p[0]))
-        out.append(CutSetRecord(W, c, G.n - len(W) + c, parts))
-    return tuple(sorted(out, key=CutSetRecord.sort_key))
 
 
 def krull_dimension(records, n: int) -> int:

@@ -6,10 +6,7 @@ in one machine word: recognition and the classifiers serve every n <= 64,
 while the exhaustive sweeps (cut sets, the homology oracle) carry their own,
 smaller caps.
 
-All public interfaces speak 1-based vertex labels.  Operations that carve a
-subgraph out of a parent keep the parent's names in the `labels` map of the
-result, so component and cut-set data can always be reported in the labels
-of the graph the caller started from.
+All public interfaces speak 1-based vertex labels.
 """
 
 from __future__ import annotations
@@ -76,21 +73,15 @@ class Graph:
     """Immutable simple graph on {1..n}.
 
     adj has length n+1 (entry 0 unused); adj[v] holds bit u-1 for every
-    neighbour u of v.  No loops, adjacency symmetric.  labels[v] is the
-    name of v in the parent graph this one was induced from (identity for
-    graphs built directly).
+    neighbour u of v.  No loops, adjacency symmetric.
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[int, ...] = None
 
     def __post_init__(self):
-        # n = 0 is the empty graph, reachable by deleting every vertex
         if not 0 <= self.n <= MAX_VERTICES:
             raise GraphInputError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(self.n + 1)))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> (v - 1)) & 1)
@@ -127,25 +118,8 @@ def from_edge_list(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def delete_vertices(G: Graph, W) -> Graph:
-    """Induced subgraph on [n] \\ W, with original names kept in `labels`.
-
-    W may be any iterable of vertices of G, or a bit mask.  W may be empty
-    (returns a copy of G) or all of [n] (returns the empty graph, which has
-    zero connected components).
-    """
-    wmask = W if isinstance(W, int) else mask_of(W)
-    keep = [v for v in range(1, G.n + 1) if not (wmask >> (v - 1)) & 1]
-    target = [None] * (G.n + 1)  # kept vertex -> its new bit; deleted ones drop out
-    for i, v in enumerate(keep):
-        target[v] = i
-    adj = (0, *permute_masks([G.adj[v] for v in keep], target))
-    labels = (0,) + tuple(G.labels[v] for v in keep)
-    return Graph(len(keep), adj, labels)
-
-
 def component_masks(G: Graph) -> list[int]:
-    """Connected components as masks in G's own vertex space, sorted by min."""
+    """Connected components as vertex masks, sorted by their smallest vertex."""
     seen = 0
     comps = []
     for v in range(1, G.n + 1):
@@ -163,18 +137,6 @@ def component_masks(G: Graph) -> list[int]:
         comps.append(comp)
         seen |= comp
     return comps
-
-
-def connected_components(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition of the vertex set into components, sorted by minimum element.
-
-    Vertices are reported under G's `labels` map, so components of an
-    induced subgraph come back in the labels of the original graph.
-    """
-    out = []
-    for m in component_masks(G):
-        out.append(tuple(G.labels[b + 1] for b in bits(m)))
-    return tuple(out)
 
 
 def _bron_kerbosch(adj: tuple[int, ...], R: int, P: int, X: int, out: list[int]):
@@ -196,7 +158,7 @@ def _bron_kerbosch(adj: tuple[int, ...], R: int, P: int, X: int, out: list[int])
 
 
 def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques of G (own labels), deterministically sorted."""
+    """All maximal cliques of G, deterministically sorted."""
     out: list[int] = []
     _bron_kerbosch(G.adj, 0, G.full_mask, 0, out)
     return tuple(sorted(vertices_of(m) for m in out))

@@ -112,10 +112,9 @@ def stanley_reisner_complex(gens, n: int) -> SimplicialComplex:
 
 def goodarzi_check(
     C: SimplicialComplex,
-    numvars: int,
+    *,
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
-    *,
     depth_of_complex: int | None = None,
 ) -> bool:
     """Filtration criterion for sequential CM-ness on the monomial side.
@@ -124,7 +123,7 @@ def goodarzi_check(
     components of quotient dimension > i, which is the face ideal of the
     subcomplex generated by the facets with more than i vertices.  The ring
     is sequentially CM iff that quotient has depth >= i + 1 for every
-    0 <= i <= dim C, dimensions taken in the ambient numvars variables.
+    0 <= i <= dim C, in the ring with one variable per vertex of C's universe.
 
     That subcomplex changes only at a facet size: for every i from the next
     smaller facet size (or 0) up to s - 1 it is the one generated by the
@@ -140,7 +139,7 @@ def goodarzi_check(
     for s in sorted({m.bit_count() for m in C.mask_key} - {0}):
         if depth is None:
             sub = SimplicialComplex(C.n_vertices, frozenset(f for f in C.facets if len(f) >= s))
-            depth = depth_hochster(sub, numvars, max_vars=max_vars, max_faces=max_faces)
+            depth = depth_hochster(sub, max_vars=max_vars, max_faces=max_faces)
         if depth < s:
             return False
         depth = None  # every later truncation is a proper subcomplex of C
@@ -156,18 +155,15 @@ def oracle_classify_facets(
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
 ) -> OracleReport:
-    numvars = 2 * F.n
-    check_var_cap(numvars, max_vars)  # before the complex: it can have exponentially many facets
+    check_var_cap(2 * F.n, max_vars)  # before the complex: it can have exponentially many facets
     C = oracle_complex(F)
     dim_quotient = C.dim + 1
-    depth = depth_hochster(C, numvars, max_vars=max_vars, max_faces=max_faces)
+    depth = depth_hochster(C, max_vars=max_vars, max_faces=max_faces)
     cm = is_cm_reisner(C, max_faces=max_faces)
     if cm != (depth == dim_quotient):
         raise AssertionError("Reisner and Auslander-Buchsbaum disagree; engine bug")
     scm = is_scm_duval(C, max_faces=max_faces)
-    goo = goodarzi_check(
-        C, numvars, max_vars=max_vars, max_faces=max_faces, depth_of_complex=depth,
-    )
+    goo = goodarzi_check(C, max_vars=max_vars, max_faces=max_faces, depth_of_complex=depth)
     almost = depth >= dim_quotient - 1
     return OracleReport(
         dim_quotient=dim_quotient,

@@ -12,13 +12,10 @@ from edgeideals.complexes import (
     SimplicialComplex,
     _boundary_columns,
     _faces_of,
-    _from_masks,
     _profile_masks,
-    induced_subcomplex,
-    link,
-    reduced_homology,
+    _prune_to_maximal,
 )
-from edgeideals.graphs import Graph, bits, from_edge_list
+from edgeideals.graphs import Graph, bits, from_edge_list, mask_of
 
 
 # The four showcase facet sequences exercised throughout the suite.
@@ -122,6 +119,53 @@ def permute_masks_ref(masks, target) -> list[int]:
     return out
 
 
+def components_ref(G: Graph, removed=()) -> tuple[tuple[int, ...], ...]:
+    """Reference components of G minus the removed vertices.
+
+    A plain search over neighbour sets built from the edge list; each part
+    is sorted, and the parts come in order of their smallest vertex.
+    """
+    rest = set(range(1, G.n + 1)) - set(removed)
+    nbrs: dict[int, set[int]] = {v: set() for v in rest}
+    for u, v in G.edges():
+        if u in rest and v in rest:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    parts = []
+    for start in sorted(rest):
+        if start not in rest:
+            continue  # already in an earlier part
+        seen, stack = {start}, [start]
+        while stack:
+            for w in nbrs[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        rest -= seen
+        parts.append(tuple(sorted(seen)))
+    return tuple(parts)
+
+
+def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
+    return SimplicialComplex(
+        n_vertices, frozenset(frozenset(b + 1 for b in bits(m)) for m in masks)
+    )
+
+
+def link(C: SimplicialComplex, face) -> SimplicialComplex:
+    """link(sigma) = {tau : tau disjoint from sigma, tau union sigma a face}."""
+    sigma = mask_of(face)
+    if not any(sigma & f == sigma for f in C.mask_key):
+        raise ValueError(f"{sorted(face)} is not a face of the complex")
+    masks = [f & ~sigma for f in C.mask_key if f & sigma == sigma]
+    return _from_masks(C.n_vertices, _prune_to_maximal(masks))
+
+
+def induced_subcomplex(C: SimplicialComplex, vertices) -> SimplicialComplex:
+    """Faces of C contained in the given vertex set (same universe)."""
+    sigma = mask_of(vertices)
+    return _from_masks(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
+
+
 def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
     """Reference Reisner check, read literally off the definition.
 
@@ -137,7 +181,7 @@ def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
     faces = {frozenset(s) for f in C.facets for k in range(len(f) + 1)
              for s in combinations(sorted(f), k)}
     for sigma in faces:
-        nz = reduced_homology(link(C, sigma)).nonzero()
+        nz = _profile_masks(link(C, sigma).mask_key)
         if any(j < d - len(sigma) for j in nz):
             return False
     return True
@@ -191,25 +235,13 @@ def maximal_masks_ref(masks) -> frozenset[int]:
 def vertex_connectivity_ref(G: Graph) -> int:
     """Fewest vertices whose removal disconnects G (n - 1 when G is complete).
 
-    Brute force over vertex subsets by increasing size, each tested by a
-    plain search over neighbour sets built from the edge list; none of the
-    library's mask or component helpers is used.
+    Brute force over vertex subsets by increasing size, each tested with
+    `components_ref`; none of the library's mask or component helpers is
+    used.
     """
-    verts = set(range(1, G.n + 1))
-    nbrs: dict[int, set[int]] = {v: set() for v in verts}
-    for u, v in G.edges():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
     for k in range(G.n - 1):
-        for W in combinations(sorted(verts), k):
-            rest = verts - set(W)
-            start = min(rest)
-            seen, stack = {start}, [start]
-            while stack:
-                for w in (nbrs[stack.pop()] & rest) - seen:
-                    seen.add(w)
-                    stack.append(w)
-            if seen != rest:
+        for W in combinations(range(1, G.n + 1), k):
+            if len(components_ref(G, W)) > 1:
                 return k
     return G.n - 1
 
@@ -229,7 +261,7 @@ def depth_hochster_ref(C: SimplicialComplex) -> int:
         if best_pd >= size - 1:
             break
         for sigma in combinations(support, size):
-            nz = reduced_homology(induced_subcomplex(C, sigma)).nonzero()
+            nz = _profile_masks(induced_subcomplex(C, sigma).mask_key)
             if nz:
                 best_pd = max(best_pd, size - 1 - min(nz))
     ghosts = C.n_vertices - len(support)

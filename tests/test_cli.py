@@ -101,6 +101,25 @@ def test_oracle_variable_cap_comes_before_the_complex(monkeypatch):
         assert err == b"error 3 depth sweep capped at 18 variables (got 20)\n"
 
 
+def test_oracle_variable_cap_above_32_is_bad_input(monkeypatch):
+    # the depth tables hold 32-bit masks, so a larger cap is refused before
+    # any complex is built; 32 itself is accepted
+    import edgeideals.oracle as oracle_mod
+
+    k2 = b"closed 2 1\n1 2\n"
+    code, out, _ = run_argv(["oracle", "--max-vars", "32"], k2)
+    assert code == EXIT_OK and json.loads(out)["depth"] == 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex built past a refused variable cap")
+
+    monkeypatch.setattr(oracle_mod, "stanley_reisner_complex", refuse)
+    for command in ("oracle", "verify"):
+        code, out, err = run_argv([command, "--max-vars", "33"], k2)
+        assert code == EXIT_BAD_INPUT and out == b""
+        assert err == b"error 1 variable cap 33 exceeds the depth sweep's limit of 32\n"
+
+
 def test_cutsets_json(seven_graph):
     code, out, _ = run_argv(["cutsets"], format_edge_list(seven_graph).encode())
     assert code == EXIT_OK

@@ -10,7 +10,6 @@ from edgeideals.cutsets import (
     CutSetRecord,
     _neighbourhood_table,
     cutsets_bruteforce,
-    cutsets_closed,
     cutsets_structural,
     filtration_components,
     is_unmixed,
@@ -18,16 +17,9 @@ from edgeideals.cutsets import (
 )
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import (
-    bits,
-    connected_components,
-    delete_vertices,
-    from_edge_list,
-    mask_of,
-    simplicial_mask,
-)
+from edgeideals.graphs import Graph, bits, from_edge_list, mask_of, simplicial_mask
 
-from conftest import SEVEN_NOT_SCM, all_graphs, complete_graph, path_graph
+from conftest import SEVEN_NOT_SCM, all_graphs, complete_graph, components_ref, path_graph
 
 
 def as_map(records):
@@ -143,21 +135,13 @@ def test_filtration_components():
         filtration_components(recs, 5)
 
 
-def test_cutsets_closed_disconnected():
-    # K3 plus an edge: cut sets are products of per-component cut sets
-    G = from_edge_list(5, [(1, 2), (1, 3), (2, 3), (4, 5)])
-    got = as_map(cutsets_closed(G))
-    ref = as_map(cutsets_bruteforce(G))
-    assert got == ref
-
-
 def test_record_sorting_is_canonical(seven_graph):
     recs = cutsets_bruteforce(seven_graph)
     assert list(recs) == sorted(recs, key=CutSetRecord.sort_key)
 
 
-# Literal references for the exhaustive sweep: every subgraph is carved out
-# with delete_vertices and its components counted from scratch.
+# Literal references for the exhaustive sweep: the components of every G - W
+# are counted from scratch by components_ref.
 
 def neighbourhood_ref(G, m):
     out = 0
@@ -172,7 +156,7 @@ def cutsets_ref(G):
 
     def parts_of(W):
         if W not in memo:
-            memo[W] = connected_components(delete_vertices(G, W))
+            memo[W] = components_ref(G, W)
         return memo[W]
 
     out = {}
@@ -199,7 +183,7 @@ def test_simplicial_mask_matches_definition():
                 if all(G.has_edge(a, b) for a, b in combinations(nbrs, 2)):
                     want.append(v)
             assert simplicial_mask(G) == mask_of(want), G.edges()
-    assert simplicial_mask(delete_vertices(path_graph(2), [1, 2])) == 0
+    assert simplicial_mask(Graph(0, (0,))) == 0
 
 
 def test_neighbourhood_table_matches_reference():
@@ -234,7 +218,7 @@ def random_graphs(draw):
 @example(from_edge_list(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]))  # K_{3,3}
 @example(from_edge_list(10, [(1, 2), (2, 3), (5, 6), (6, 7), (5, 7), (9, 10)]))
 @example(from_edge_list(10, []))
-@example(delete_vertices(path_graph(3), [1, 2, 3]))  # n = 0
+@example(Graph(0, (0,)))  # n = 0
 @given(random_graphs())
 def test_bruteforce_matches_removal_test_reference(G):
     recs = cutsets_bruteforce(G)
@@ -249,12 +233,3 @@ def test_bruteforce_matches_removal_test_reference_exhaustive():
             got = {r.W: (r.c, r.dim, r.parts) for r in cutsets_bruteforce(G)}
             assert got == cutsets_ref(G), G.edges()
 
-
-def test_bruteforce_reports_parent_labels():
-    # an induced subgraph keeps its parent's names in W and in the parts
-    H = delete_vertices(path_graph(6), [1, 4])  # paths 2-3 and 5-6
-    got = {r.W: r.parts for r in cutsets_bruteforce(H)}
-    assert got == {(): ((2, 3), (5, 6))}
-    H = delete_vertices(path_graph(5), [1])  # path 2-3-4-5
-    got = {r.W: r.parts for r in cutsets_bruteforce(H)}
-    assert got == {(): ((2, 3, 4, 5),), (3,): ((2,), (4, 5)), (4,): ((2, 3), (5,))}

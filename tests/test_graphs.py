@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from edgeideals.errors import GraphInputError
 from edgeideals.graphs import (
+    Graph,
     clique_degree,
-    connected_components,
-    delete_vertices,
+    component_masks,
     format_edge_list,
     from_edge_list,
+    mask_of,
     maximal_cliques,
     parse_edge_list,
     permute_masks,
+    vertices_of,
 )
 
-from conftest import complete_graph, path_graph, permute_masks_ref
+from conftest import all_graphs, complete_graph, components_ref, path_graph, permute_masks_ref
 from edgeideals.closed import build_graph
 from edgeideals.enumerators import enumerate_closed_connected
 
@@ -47,45 +49,52 @@ def test_seven_vertex_example_edges(seven_graph):
 def test_empty_edge_set():
     G = from_edge_list(2, [])
     assert G.num_edges() == 0
-    assert connected_components(G) == ((1,), (2,))
+    assert component_masks(G) == [0b01, 0b10]
 
 
-def test_delete_vertices_examples(seven_graph):
-    K3 = complete_graph(3)
-    H = delete_vertices(K3, {3})
-    assert H.n == 2 and H.edges() == ((1, 2),)
-
-    H2 = delete_vertices(seven_graph, {3, 4, 5})
-    assert connected_components(H2) == ((1, 2), (6, 7))
-    assert H2.labels[1:] == (1, 2, 6, 7)
-
-    same = delete_vertices(seven_graph, set())
-    assert same.adj == seven_graph.adj and same.n == seven_graph.n
-
-    empty = delete_vertices(K3, {1, 2, 3})
-    assert empty.n == 0 and connected_components(empty) == ()
+def components_without(G, W):
+    """component_masks of G minus W: W's edges are dropped, and the
+    singletons left at W are not reported."""
+    H = from_edge_list(G.n, [(u, v) for u, v in G.edges() if u not in W and v not in W])
+    wmask = mask_of(W)
+    return [m for m in component_masks(H) if not m & wmask]
 
 
 def test_connected_components_examples(seven_graph):
-    assert connected_components(complete_graph(3)) == ((1, 2, 3),)
-    assert len(connected_components(delete_vertices(seven_graph, {3, 4, 5}))) == 2
-    assert connected_components(from_edge_list(4, [])) == ((1,), (2,), (3,), (4,))
+    assert component_masks(complete_graph(3)) == [0b111]
+    assert components_without(seven_graph, {3, 4, 5}) == [mask_of((1, 2)), mask_of((6, 7))]
+    assert component_masks(from_edge_list(4, [])) == [0b0001, 0b0010, 0b0100, 0b1000]
+    assert component_masks(Graph(0, (0,))) == []
+
+
+def _random_graph(n, rng, p):
+    return from_edge_list(n, [(i, j) for i in range(1, n + 1)
+                              for j in range(i + 1, n + 1) if rng.random() < p])
 
 
 def test_components_form_partition():
-    for F in enumerate_closed_connected(5):
-        G = build_graph(F)
-        for W in ({2}, {1, 3}, set()):
-            H = delete_vertices(G, W)
-            parts = connected_components(H)
-            seen = [v for p in parts for v in p]
-            assert sorted(seen) == sorted(set(range(1, 6)) - W)
+    # every graph with n <= 5, and sparse and dense graphs with n = 33 and 64
+    # (component masks wider than 32 bits), under a few deletions each
+    rng = random.Random(7)
+    graphs = [G for n in range(1, 6) for G in all_graphs(n)]
+    graphs += [_random_graph(n, rng, p) for n in (33, 64) for p in (0.02, 0.05, 0.3)]
+    for G in graphs:
+        deletions = [set(), {2} & set(range(1, G.n + 1)), {1, 3} & set(range(1, G.n + 1))]
+        if G.n > 5:
+            deletions.append(set(rng.sample(range(1, G.n + 1), G.n // 2)))
+        for W in deletions:
+            masks = components_without(G, W) if W else component_masks(G)
+            parts = tuple(vertices_of(m) for m in masks)
+            assert parts == components_ref(G, W), (G.edges(), W)
+            union = 0
+            for m in masks:
+                assert not union & m
+                union |= m
+            assert union == G.full_mask & ~mask_of(W)
             # no edges between parts
-            for i, p in enumerate(parts):
-                for q in parts[i + 1:]:
-                    for u in p:
-                        for v in q:
-                            assert not G.has_edge(u, v)
+            for i, p in enumerate(masks):
+                for q in masks[i + 1:]:
+                    assert not any(G.adj[v] & q for v in vertices_of(p))
 
 
 def test_clique_degree_examples(seven_graph):
@@ -122,10 +131,11 @@ def test_component_refinement_under_larger_deletions():
     # enlarging W only splits or removes components, never merges them
     for F in enumerate_closed_connected(5):
         G = build_graph(F)
-        small = connected_components(delete_vertices(G, {2}))
-        large = connected_components(delete_vertices(G, {2, 4}))
+        small = components_without(G, {2})
+        large = components_without(G, {2, 4})
+        assert [vertices_of(m) for m in large] == list(components_ref(G, {2, 4}))
         for part in large:
-            assert any(set(part) <= set(p) for p in small)
+            assert any(part & p == part for p in small)
 
 
 def test_edge_list_error_messages():
@@ -171,17 +181,3 @@ def test_permute_masks_full_word_and_ragged_tail():
         shift = [None] + [64 - n + v - 1 for v in range(1, n + 1)]  # to the top of the word
         assert permute_masks([full], shift) == [full << (64 - n)]
 
-
-def test_delete_vertices_matches_edge_reference():
-    rng = random.Random(13)
-    for n in (1, 4, 7, 33, 64):
-        for _ in range(10):
-            G = from_edge_list(n, [(i, j) for i in range(1, n + 1)
-                                   for j in range(i + 1, n + 1) if rng.random() < 0.3])
-            W = set(rng.sample(range(1, n + 1), rng.randint(0, n - 1)))
-            keep = [v for v in range(1, n + 1) if v not in W]
-            pos = {v: i + 1 for i, v in enumerate(keep)}
-            H = delete_vertices(G, W)
-            want = from_edge_list(len(keep), [(pos[u], pos[v]) for u, v in G.edges()
-                                              if u in pos and v in pos])
-            assert H.adj == want.adj and H.labels == (0, *keep)
