@@ -131,6 +131,9 @@ def _require_closed(G: Graph):
 def run(config: RunConfig, data: bytes) -> tuple[int, bytes, bytes]:
     """Execute one command; returns (exit code, stdout bytes, stderr bytes)."""
     try:
+        for flag, cap in (("--max-vars", config.max_vars), ("--max-faces", config.max_faces)):
+            if cap < 1:
+                raise GraphInputError(f"{flag} must be >= 1, got {cap}")
         return EXIT_OK, _dispatch(config, data), b""
     except NotClosedError as exc:
         return EXIT_NOT_CLOSED, b"", f"error {EXIT_NOT_CLOSED} {exc}\n".encode()

@@ -16,6 +16,11 @@ and visiting v splits every class k into k & N(v) followed by the rest.
 The first sweep runs in G's own vertex space; the LBFS+ sweeps run in the
 rank space of the previous order (bit r stands for its r-th vertex), so
 each tie-break is the lowest or the highest bit of the first class.
+Those two sweeps are the only relabelings (`permute_masks`) per
+component.  The closedness test of the third order and the round-trip
+certificate of the final labeling stay in G's vertex space: both compare
+each closed neighbourhood with a difference of two prefix masks, the
+vertices among the first k of an order.
 """
 
 from __future__ import annotations
@@ -244,6 +249,34 @@ def _lbfs(adj, live: int, prev: list[int] | None) -> list[int]:
     return [prev[r] for r in ranks]
 
 
+def _closed_order_facets(adj, order: list[int]) -> IntervalFacets | None:
+    """Facets of the ordering `order` of G's vertices, or None if it is not closed.
+
+    prefix[k] is the mask of the first k vertices of the order, in G's own
+    vertex space.  In a closed ordering the closed neighbourhood of the
+    vertex at position p is the run of positions lo..hi-1, with lower ends
+    monotone in p; so one pointer finds lo, hi = lo + |N[v]|, and the order
+    is closed iff N[v] == prefix[hi] ^ prefix[lo] for every v.  The facets
+    are the (p + 1, hi) at which hi grows.
+    """
+    prefix = [0]
+    for v in order:
+        prefix.append(prefix[-1] | 1 << (v - 1))
+    facets = []
+    lo = top = 0
+    for p, v in enumerate(order):
+        nb = adj[v] | 1 << (v - 1)
+        while not (nb >> (order[lo] - 1)) & 1:
+            lo += 1
+        hi = lo + nb.bit_count()
+        if hi > len(order) or nb != prefix[hi] ^ prefix[lo]:
+            return None
+        if hi > top:
+            facets.append((p + 1, hi))
+            top = hi
+    return IntervalFacets(len(order), tuple(facets))
+
+
 def _recognize_component(G: Graph, comp: int) -> tuple[tuple[int, ...], IntervalFacets] | None:
     """Closed labeling of a component of G, canonicalized, or None.
 
@@ -255,11 +288,10 @@ def _recognize_component(G: Graph, comp: int) -> tuple[tuple[int, ...], Interval
     pi1 = _lbfs(G.adj, comp, None)
     pi2 = _lbfs(G.adj, comp, pi1)
     pi3 = _lbfs(G.adj, comp, pi2)
-    n_c = len(pi3)
-    try:
-        fwd = interval_facets(Graph(n_c, (0, *_in_order(G.adj, pi3))))
-    except NotClosedError:
+    fwd = _closed_order_facets(G.adj, pi3)
+    if fwd is None:
         return None
+    n_c = len(pi3)
     perm = [0] * (G.n + 1)
     for pos, v in enumerate(pi3, start=1):
         perm[v] = pos
@@ -328,25 +360,28 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
 def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
     """Check that the graph of F, relabeled by the inverse labeling, is G.
 
-    In the graph of F the closed neighbourhood of label u is the union of
-    the facets containing u, the interval from the lower end of the first
-    to the upper end of the last.  Each is built once as a mask, moved
-    through the inverse labeling and compared with G's adjacency.
+    The labeling must be a bijection of 1..n.  In the graph of F the closed
+    neighbourhood of label u is the union of the facets containing u, the
+    interval [lo, hi] from the lower end of the first to the upper end of
+    the last.  With prefix[k] the mask, in G's vertex space, of the
+    vertices labeled 1..k, that interval is prefix[hi] ^ prefix[lo - 1],
+    and it must equal the closed neighbourhood in G of the vertex labeled u.
     """
+    n = G.n
+    if F.n != n or sorted(labeling.perm[1:]) != list(range(1, n + 1)):
+        raise AssertionError("recognition round-trip: the labeling is not a bijection of 1..n")
     inv = labeling.inverse()
-    closed_nbhds = []
+    prefix = [0]
+    for v in inv[1:]:
+        prefix.append(prefix[-1] | 1 << (v - 1))
     first = last = 0  # first facet with b >= u, last facet with a <= u
-    for u in range(1, F.n + 1):
+    for u in range(1, n + 1):
         while F.facets[first][1] < u:
             first += 1
         while last + 1 < F.r and F.facets[last + 1][0] <= u:
             last += 1
-        lo, hi = F.facets[first][0], F.facets[last][1]
-        closed_nbhds.append(((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1))
-    target = [None] + [v - 1 for v in inv[1:]]
-    for u, m in enumerate(permute_masks(closed_nbhds, target), start=1):
         v = inv[u]
-        if m != G.adj[v] | (1 << (v - 1)):
+        if prefix[F.facets[last][1]] ^ prefix[F.facets[first][0] - 1] != G.adj[v] | 1 << (v - 1):
             raise AssertionError("recognition round-trip failed to reproduce the input graph")
 
 

@@ -12,6 +12,8 @@ All public interfaces speak 1-based vertex labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import NoReturn
 
 from .errors import GraphInputError
 
@@ -195,6 +197,42 @@ def simplicial_mask(G: Graph) -> int:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format; malformed input raises GraphInputError.
+
+    Valid input takes bulk passes that run in C: one split per line, one
+    int() over every token, a min/max range check and one loop that sets
+    the adjacency bits.  Any failure hands the text to `_edge_list_error`,
+    which finds and raises the first error as a line-by-line scan would.
+    """
+    rows = [*filter(None, map(str.split, text.splitlines()))]
+    if "#" in text:
+        rows = [r for r in rows if r[0][0] != "#"]
+    if not rows or len(rows[0]) != 1 or set(map(len, islice(rows, 1, None))) - {2}:
+        _edge_list_error(text)
+    try:
+        n, *ends = map(int, chain.from_iterable(rows))
+    except ValueError:
+        _edge_list_error(text)
+    if not 1 <= n <= MAX_VERTICES or ends and not (1 <= min(ends) and max(ends) <= n):
+        _edge_list_error(text)
+    bit = [0] + [1 << i for i in range(n)]  # bit[v] is vertex v's bit
+    adj = [0] * (n + 1)
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u] |= bit[v]
+        adj[v] |= bit[u]
+    if any(map(int.__and__, adj, bit)):  # a loop u u set u's own bit
+        _edge_list_error(text)
+    return Graph(n, tuple(adj))
+
+
+def _edge_list_error(text: str) -> NoReturn:
+    """Raise the GraphInputError of malformed edge-list text.
+
+    Lines are scanned in order: the first line that is not integers, or
+    has the wrong number of fields, is reported; then a missing header;
+    then `from_edge_list` reports n out of range or the first bad edge.
+    """
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -215,7 +253,8 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((nums[0], nums[1]))
     if n is None:
         raise GraphInputError("empty edge-list input")
-    return from_edge_list(n, edges)
+    from_edge_list(n, edges)
+    raise AssertionError("edge-list text rejected by the bulk parser but not by the scan")
 
 
 def format_edge_list(G: Graph) -> str:

@@ -6,7 +6,15 @@ from itertools import combinations, permutations
 
 import pytest
 
-from edgeideals.closed import IntervalFacets, build_graph, is_indecomposable
+from edgeideals.closed import (
+    IntervalFacets,
+    _in_order,
+    _lbfs,
+    build_graph,
+    interval_facets,
+    is_indecomposable,
+    reverse_facets,
+)
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
@@ -15,6 +23,7 @@ from edgeideals.complexes import (
     _profile_masks,
     _prune_to_maximal,
 )
+from edgeideals.errors import GraphInputError, NotClosedError
 from edgeideals.graphs import Graph, bits, from_edge_list, mask_of
 
 
@@ -118,6 +127,64 @@ def permute_masks_ref(masks, target) -> list[int]:
         out.append(acc)
     return out
 
+
+
+def parse_edge_list_ref(text: str) -> Graph:
+    """Reference edge-list parser: one line at a time, ending in `from_edge_list`.
+
+    The first line that is not integers, or has the wrong number of fields,
+    is reported; then a missing header; then `from_edge_list` reports n out
+    of range or the first bad edge.
+    """
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            nums = [*map(int, parts)]
+        except ValueError:
+            raise GraphInputError(f"line {lineno}: expected integers, got {raw.strip()!r}")
+        if n is None:
+            if len(nums) != 1:
+                raise GraphInputError(f"line {lineno}: expected a single vertex count")
+            n = nums[0]
+        else:
+            if len(nums) != 2:
+                raise GraphInputError(f"line {lineno}: expected 'u v'")
+            edges.append((nums[0], nums[1]))
+    if n is None:
+        raise GraphInputError("empty edge-list input")
+    return from_edge_list(n, edges)
+
+
+def closed_order_facets_ref(adj, order: list[int]) -> IntervalFacets | None:
+    """Reference closedness test of a vertex order: relabel the adjacency
+    into the order and read the facets with `interval_facets`."""
+    try:
+        return interval_facets(Graph(len(order), (0, *_in_order(adj, order))))
+    except NotClosedError:
+        return None
+
+
+def recognize_component_ref(G: Graph, comp: int):
+    """Reference `_recognize_component`: the three sweeps, then the third
+    order relabeled and tested by `closed_order_facets_ref`."""
+    pi1 = _lbfs(G.adj, comp, None)
+    pi2 = _lbfs(G.adj, comp, pi1)
+    pi3 = _lbfs(G.adj, comp, pi2)
+    fwd = closed_order_facets_ref(G.adj, pi3)
+    if fwd is None:
+        return None
+    perm = [0] * (G.n + 1)
+    for pos, v in enumerate(pi3, start=1):
+        perm[v] = pos
+    rev = reverse_facets(fwd)
+    if rev.flattened() < fwd.flattened():
+        perm = [0 if p == 0 else len(pi3) + 1 - p for p in perm]
+        fwd = rev
+    return tuple(perm), fwd
 
 def components_ref(G: Graph, removed=()) -> tuple[tuple[int, ...], ...]:
     """Reference components of G minus the removed vertices.

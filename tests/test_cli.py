@@ -13,6 +13,7 @@ from edgeideals.cli import (
     EXIT_NOT_CLOSED,
     EXIT_OK,
     EXIT_RESOURCE,
+    RunConfig,
     config_from_argv,
     run,
 )
@@ -118,6 +119,26 @@ def test_oracle_variable_cap_above_32_is_bad_input(monkeypatch):
         code, out, err = run_argv([command, "--max-vars", "33"], k2)
         assert code == EXIT_BAD_INPUT and out == b""
         assert err == b"error 1 variable cap 33 exceeds the depth sweep's limit of 32\n"
+
+
+
+def test_caps_below_one_are_bad_input(monkeypatch):
+    # a cap below 1 is malformed input, refused before the graph is read,
+    # through the argv front door and through a RunConfig alike
+    import edgeideals.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started under a refused cap")
+
+    monkeypatch.setattr(cli_mod, "_detect_and_parse", refuse)
+    k2 = b"closed 2 1\n1 2\n"
+    for command in ("oracle", "verify"):
+        for flag, field in (("--max-vars", "max_vars"), ("--max-faces", "max_faces")):
+            for value in (-1, 0):
+                want = f"error 1 {flag} must be >= 1, got {value}\n".encode()
+                assert run_argv([command, flag, str(value)], k2) == (EXIT_BAD_INPUT, b"", want)
+                cfg = RunConfig(command, **{field: value})
+                assert run(cfg, k2) == (EXIT_BAD_INPUT, b"", want)
 
 
 def test_cutsets_json(seven_graph):
@@ -266,6 +287,24 @@ def test_recognize_output_pinned_on_shuffled_closed_graphs():
             digest.update(out)
     assert digest.hexdigest() == "784563b847c5e0ed4d4eb90d4fe93552792bed8367ffcb3f89c81494b709f46e"
 
+
+def test_classify_output_pinned():
+    # the whole stdout of `classify` over the corpus of the pinned `recognize`
+    # digest: every connected closed graph with n <= 7, seeded label shuffle
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for F in enumerate_closed_connected(n):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            H = relabel(build_graph(F), {v: p[v - 1] for v in range(1, n + 1)})
+            code, out, err = run_argv(["classify"], format_edge_list(H).encode())
+            assert code == EXIT_OK, err
+            digest.update(out)
+            count += 1
+    assert count == 197
+    assert digest.hexdigest() == "fd6df926e717efc4c210a8413bb78fc24e836b33692491e87195ef356d665394"
 
 def test_verify_output_pinned():
     # the whole stdout of `verify` on every connected closed graph with n <= 6

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from edgeideals.closed import (
     ClosedLabeling,
     IntervalFacets,
+    _closed_order_facets,
     _lbfs,
+    _recognize_component,
     _verify_roundtrip,
     build_graph,
     connected_cutsets,
@@ -20,7 +22,7 @@ from edgeideals.closed import (
     split_components,
 )
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import component_masks, from_edge_list, vertices_of
+from edgeideals.graphs import component_masks, from_edge_list, permute_masks, vertices_of
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
 from conftest import (
@@ -29,9 +31,11 @@ from conftest import (
     all_graphs,
     brute_force_is_closed,
     claw,
+    closed_order_facets_ref,
     complete_graph,
     lbfs_ref,
     path_graph,
+    recognize_component_ref,
     relabel,
 )
 
@@ -322,6 +326,75 @@ def test_lbfs_tie_breaks():
     assert _lbfs(P.adj, 0b101, None) == [1, 3]
 
 
+
+def _near_miss(n, rng):
+    # a shuffled closed graph with one pair flipped
+    G = _closed_graph(n, rng)
+    if n < 2:
+        return G
+    u, v = rng.sample(range(1, n + 1), 2)
+    return from_edge_list(n, set(G.edges()) ^ {(min(u, v), max(u, v))})
+
+
+@st.composite
+def recognition_graphs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("closed", "twins", "near_miss", "gnp")))
+    if kind == "twins":
+        return _twin_heavy(rng)
+    n = draw(st.integers(1, 64))
+    return {"closed": _closed_graph, "near_miss": _near_miss, "gnp": _random_graph}[kind](n, rng)
+
+
+@given(recognition_graphs())
+@settings(max_examples=250, deadline=None)
+def test_recognize_component_matches_reference(G):
+    # the prefix-mask test of the third order gives the labeling and facets
+    # of the relabel-and-interval_facets path, and None where it does
+    for comp in component_masks(G):
+        assert _recognize_component(G, comp) == recognize_component_ref(G, comp)
+
+
+@given(recognition_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=250, deadline=None)
+def test_closed_order_facets_matches_reference(G, rng):
+    # any order of a component: closed ones from recognition and their
+    # reversal, and arbitrary shuffles, which are mostly not closed
+    for comp in component_masks(G):
+        order = list(vertices_of(comp))
+        rec = _recognize_component(G, comp)
+        orders = [rng.sample(order, len(order))]
+        if rec is not None:
+            closed_order = sorted(order, key=rec[0].__getitem__)
+            orders += [closed_order, closed_order[::-1]]
+        for o in orders:
+            assert _closed_order_facets(G.adj, o) == closed_order_facets_ref(G.adj, o)
+
+
+def test_recognition_relabels_twice_per_component(monkeypatch):
+    # the two LBFS+ sweeps relabel into the previous order; the closedness
+    # test and the certificate work with prefix masks in G's vertex space
+    import edgeideals.closed as closed_mod
+
+    calls = []
+
+    def counting(masks, target):
+        calls.append(len(target))
+        return permute_masks(masks, target)
+
+    monkeypatch.setattr(closed_mod, "permute_masks", counting)
+    rng = random.Random(5)
+    for sizes in ((1,), (9,), (64,), (3, 1, 5), (16, 16, 16, 16), (1,) * 10):
+        edges, n = [], 0
+        for size in sizes:  # a disjoint union of connected closed graphs
+            edges += [(u + n, v + n) for u, v in _closed_graph(size, rng).edges()]
+            n += size
+        G = _shuffled(from_edge_list(n, edges), rng)
+        calls.clear()
+        assert recognize_closed(G) is not None
+        assert len(component_masks(G)) == len(sizes)
+        assert len(calls) == 2 * len(sizes)
+
 # -- relabeling and certification ----------------------------------------------
 
 
@@ -341,8 +414,10 @@ def test_roundtrip_check_rejects_wrong_facets_or_labeling():
     for facets in (((1, 2), (2, 4)), ((1, 2), (3, 4)), ((1, 4),), ((1, 1), (2, 3), (3, 4))):
         with pytest.raises(AssertionError, match="round-trip"):
             _verify_roundtrip(G, lab, IntervalFacets(4, facets))
-    with pytest.raises(AssertionError, match="round-trip"):
-        _verify_roundtrip(G, ClosedLabeling((0, 2, 1, 3, 4)), F)
+    # a wrong bijection, then labelings that are no bijection of 1..4
+    for perm in ((0, 2, 1, 3, 4), (0, 1, 2, 2, 4), (0, 0, 1, 2, 3), (0, 1, 2, 3)):
+        with pytest.raises(AssertionError, match="round-trip"):
+            _verify_roundtrip(G, ClosedLabeling(perm), F)
 
 
 def _induced(G, W):

@@ -18,7 +18,14 @@ from edgeideals.graphs import (
     vertices_of,
 )
 
-from conftest import all_graphs, complete_graph, components_ref, path_graph, permute_masks_ref
+from conftest import (
+    all_graphs,
+    complete_graph,
+    components_ref,
+    parse_edge_list_ref,
+    path_graph,
+    permute_masks_ref,
+)
 from edgeideals.closed import build_graph
 from edgeideals.enumerators import enumerate_closed_connected
 
@@ -149,6 +156,17 @@ def test_edge_list_error_messages():
         "3\n1\n": "line 2: expected 'u v'",
         "": "empty edge-list input",
         "# only\n\n \t\n": "empty edge-list input",
+        # syntax errors by line come first, then n, then the first bad edge
+        "3\n1 4\n1 x\n": "line 3: expected integers, got '1 x'",
+        "65\n1 2 3\n": "line 2: expected 'u v'",
+        "0\n1 x\n": "line 2: expected integers, got '1 x'",
+        "3\n2 2\n": "loop at vertex 2",
+        "3\n2 2\n1 4\n": "loop at vertex 2",
+        "3\n1 4\n2 2\n": "edge {1,4} has an endpoint outside 1..3",
+        "3\n0 1\n": "edge {0,1} has an endpoint outside 1..3",
+        "0\n": "vertex count 0 outside 1..64",
+        "65\n1 2\n": "vertex count 65 outside 1..64",
+        "3\n1\x0b2\n": "line 2: expected 'u v'",  # VT breaks the line
     }
     for text, message in cases.items():
         with pytest.raises(GraphInputError) as exc:
@@ -158,6 +176,65 @@ def test_edge_list_error_messages():
     G = parse_edge_list("#x\n 3\r\n\t# 1 3\n1\t2 \n")
     assert G.n == 3 and G.edges() == ((1, 2),)
 
+
+
+# line breaks that str.splitlines honours, and in-line whitespace that
+# str.split honours but splitlines does not
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x85")
+SPACES = (" ", "\t", "\xa0", "\u2003", " \t ")
+FILLER = ("", " \t", "\u2003", "# comment", "#1 2", "  # 1 x y")
+JUNK = ("x", "#2", "1.5", "-1", "0", "65", "+3", "\u0663", "1_0", "0x1", "")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with comments, blank lines and mixed whitespace; with
+    `broken`, some rows get a junk token, lose or gain a field, or a loop."""
+    n = draw(st.integers(1, 64))
+    edges = [e for e in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                      max_size=40)) if e[0] != e[1]]
+    if edges:  # duplicates, some of them reversed
+        edges += [(v, u) if flip else (u, v) for (u, v), flip in
+                  draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=8))]
+    rows = [[str(n)]] + [[str(u), str(v)] for u, v in edges]
+    if draw(st.booleans()):  # broken
+        for _ in range(draw(st.integers(1, 3))):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            kind = draw(st.sampled_from(("junk", "drop", "add", "loop") if row else ("add",)))
+            if kind == "junk":
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(JUNK))
+            elif kind == "drop":
+                row.pop()
+            elif kind == "add":
+                row.append(str(draw(st.integers(-1, 66))))
+            else:
+                rows.append([row[0], row[0]])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(FILLER), max_size=2))
+        pad = st.sampled_from(("",) + SPACES)
+        lines.append(draw(pad) + draw(st.sampled_from(SPACES)).join(row) + draw(pad))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + br for line, br in zip(lines, breaks))[: None if draw(st.booleans()) else -1]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphInputError as exc:
+        return str(exc)
+
+
+@given(edge_list_texts())
+@example("3\r\n1\xa02\x0b\n# c\x852\u20033\r\n2 1\n")
+@example("2\n\u0661 \u0662\n")  # int() reads any Unicode decimal digits
+@example("9" * 5000 + "\n")  # past int()'s digit limit
+@settings(max_examples=400, deadline=None)
+def test_parse_edge_list_matches_line_scan(text):
+    # valid text gives the same graph, invalid text the same message
+    got = _parse_outcome(parse_edge_list, text)
+    assert got == _parse_outcome(parse_edge_list_ref, text)
+    assert isinstance(got, (Graph, str))
 
 @given(st.integers(1, 64), st.randoms(use_true_random=False))
 @example(64, random.Random(0))
