@@ -16,7 +16,6 @@ from .closed import (
     decompose_blocks,
     interval_facets,
     recognize_closed,
-    split_components,
 )
 from .complexes import (
     SimplicialComplex,
@@ -86,6 +85,5 @@ __all__ = [
     "oracle_classify_facets",
     "random_closed",
     "recognize_closed",
-    "split_components",
     "stanley_reisner_complex",
 ]

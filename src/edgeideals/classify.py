@@ -4,6 +4,8 @@ Everything here reads off the facet intervals.  The reductions are the
 standard ones: properties are decided per connected component, and within
 a component per indecomposable block (blocks are glued at free vertices,
 which splits the quotient as a tensor product up to a regular sequence).
+One `decompose_blocks` pass yields both: the blocks, and the components
+as the runs of blocks that meet in a vertex.
 
 Verdicts for a connected closed graph on [n] with facets F_1..F_r:
 
@@ -31,14 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closed import (
-    Block,
-    IntervalFacets,
-    decompose_blocks,
-    is_indecomposable,
-    recognize_closed,
-    split_components,
-)
+from .closed import Block, IntervalFacets, decompose_blocks, is_indecomposable, recognize_closed
 from .errors import NotClosedError
 from .graphs import Graph
 
@@ -64,13 +59,6 @@ class Classification:
             raise AssertionError("cm must imply scm, almost_cm and unmixed")
         if self.approx_cm != self.almost_cm:
             raise AssertionError("approx_cm must equal almost_cm on closed graphs")
-
-
-def is_cm_closed(F: IntervalFacets) -> bool:
-    """Connected closed graph: CM iff b_i = a_{i+1} for every i."""
-    if not F.is_connected:
-        raise ValueError("is_cm_closed expects a connected facet sequence")
-    return all(b1 == a2 for (_, b1), (a2, _) in zip(F.facets, F.facets[1:]))
 
 
 def is_scm_indecomposable(F: IntervalFacets) -> tuple[bool, int | None]:
@@ -120,14 +108,6 @@ def is_almost_cm_indecomposable(F: IntervalFacets) -> bool:
     return False
 
 
-def _all_blocks(components: tuple[Block, ...]) -> tuple[Block, ...]:
-    return tuple(
-        Block(comp.start + blk.start - 1, blk.facets)
-        for comp in components
-        for blk in decompose_blocks(comp.facets)
-    )
-
-
 def _almost_cm(blocks: tuple[Block, ...]) -> bool:
     """Almost CM iff CM, or exactly one non-clique block that matches a shape."""
     noncliques = [blk for blk in blocks if blk.facets.r >= 2]
@@ -148,23 +128,23 @@ def classify(G: Graph) -> Classification:
 
 
 def classify_facets(F: IntervalFacets) -> Classification:
-    components = split_components(F)
-    blocks = _all_blocks(components)
+    """Every verdict, read off the one block pass of `decompose_blocks`."""
+    blocks = decompose_blocks(F)
+    # a block that starts past the previous block's last vertex opens a component
+    components = 1 + sum(b.start > a.start + a.n - 1 for a, b in zip(blocks, blocks[1:]))
+    # CM (and unmixed, on closed graphs) iff every W_i is one vertex
+    cm = all(blk.facets.r == 1 for blk in blocks)
     scm_flags = [is_scm_indecomposable(blk.facets) for blk in blocks]
-    cm = all(is_cm_closed(comp.facets) for comp in components)
-    unmixed = cm  # connected closed: unmixed iff all W_i singletons, per component
-    scm = all(flag for flag, _ in scm_flags)
     almost = _almost_cm(blocks)
-    krull = sum(comp.facets.n + 1 for comp in components)
     return Classification(
         facets=F,
         blocks=tuple(blk.facets for blk in blocks),
-        components=len(components),
-        unmixed=unmixed,
+        components=components,
+        unmixed=cm,
         cm=cm,
-        scm=scm,
+        scm=all(flag for flag, _ in scm_flags),
         scm_witness_k_per_block=tuple(k for _, k in scm_flags),
         almost_cm=almost,
         approx_cm=almost,
-        krull_dim=krull,
+        krull_dim=F.n + components,
     )

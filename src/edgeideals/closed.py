@@ -6,6 +6,14 @@ b_1 < ... < b_r = n.  Equivalently, every closed neighbourhood N[v] is a
 set of consecutive labels; equivalently, i < j < k and {i,k} an edge force
 {i,j} and {j,k} to be edges.  A graph is closed when some labeling is.
 
+Each question about a facet list is answered by one walk over it, kept
+here.  `decompose_blocks` splits it wherever two consecutive facets share
+at most one vertex (a gap between components, or a single vertex between
+blocks); the classifier reads components, CM and dimension off that one
+pass.  `_neighbourhoods` yields the closed neighbourhood of each label,
+the interval from the first facet containing it to the last; it builds
+the graph of the facets and certifies recognition's labeling.
+
 Recognition runs a three-sweep lexicographic BFS per component (LBFS
 then two LBFS+ sweeps, Corneil's proper-interval scheme) and then
 *verifies* the candidate ordering with the consecutive-neighbourhood test,
@@ -26,10 +34,9 @@ vertices among the first k of an order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import MAX_VERTICES, Graph, bits, component_masks, from_edge_list, permute_masks
+from .graphs import MAX_VERTICES, Graph, bits, component_masks, permute_masks
 
 
 @dataclass(frozen=True)
@@ -76,20 +83,6 @@ class IntervalFacets:
     def flattened(self) -> tuple[int, ...]:
         return tuple(x for ab in self.facets for x in ab)
 
-    def component_ranges(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Per-component boundaries: (first facet idx, last facet idx, lo, hi).
-
-        Facet indices are 0-based, vertex bounds 1-based inclusive.
-        """
-        out = []
-        start = 0
-        for i in range(self.r - 1):
-            if self.facets[i + 1][0] == self.facets[i][1] + 1:
-                out.append((start, i, self.facets[start][0], self.facets[i][1]))
-                start = i + 1
-        out.append((start, self.r - 1, self.facets[start][0], self.facets[-1][1]))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ClosedLabeling:
@@ -109,6 +102,8 @@ class ClosedLabeling:
 
     def apply(self, G: Graph) -> Graph:
         """Relabel G: vertex v of G becomes vertex perm[v] of the result."""
+        if len(self.perm) != G.n + 1 or sorted(self.perm[1:]) != list(range(1, G.n + 1)):
+            raise ValueError(f"labeling {self.perm[1:]} is not a bijection of 1..{G.n}")
         target = [None] + [p - 1 for p in self.perm[1:]]
         adj = [0] * (G.n + 1)
         for v, m in enumerate(permute_masks(G.adj[1:], target), start=1):
@@ -153,35 +148,44 @@ def closed_labeling_witness(G: Graph):
 
 
 def interval_facets(G: Graph) -> IntervalFacets:
-    """Maximal cliques of an identity-closed-labeled graph, as intervals."""
-    witness = closed_labeling_witness(G)
-    if witness is not None:
-        present, missing = witness
+    """Maximal cliques of an identity-closed-labeled graph, as intervals.
+
+    The identity order goes through recognition's closedness test; the
+    witness of a non-closed labeling is looked for only after it fails.
+    """
+    F = _closed_order_facets(G.adj, list(range(1, G.n + 1)))
+    if F is None:
+        present, missing = witness = closed_labeling_witness(G)
         raise NotClosedError(
             f"labeling is not closed: edge {present} forces pair {missing}",
             witness=witness,
         )
-    n = G.n
-    reach = [0] * (n + 2)
-    for a in range(1, n + 1):
-        b = a
-        common = G.adj[a]
-        while b < n and (common >> b) & 1:  # bit b is vertex b+1
-            b += 1
-            common &= G.adj[b]
-        reach[a] = b
-    facets = [(a, reach[a]) for a in range(1, n + 1) if a == 1 or reach[a] > reach[a - 1]]
-    return IntervalFacets(n, tuple(facets))
+    return F
+
+
+def _neighbourhoods(F: IntervalFacets):
+    """Yield the closed neighbourhood (lo, hi) of each label u = 1..n.
+
+    In the graph of F it is the union of the facets containing u: from the
+    lower end of the first facet with b >= u to the upper end of the last
+    facet with a <= u.  Both facet pointers only move forward.
+    """
+    f = F.facets
+    first = last = 0
+    for u in range(1, F.n + 1):
+        while f[first][1] < u:
+            first += 1
+        while last + 1 < len(f) and f[last + 1][0] <= u:
+            last += 1
+        yield f[first][0], f[last][1]
 
 
 def build_graph(F: IntervalFacets) -> Graph:
     """The closed graph whose maximal cliques are the facet intervals."""
-    edges = []
-    for a, b in F.facets:
-        for u in range(a, b + 1):
-            for v in range(u + 1, b + 1):
-                edges.append((u, v))
-    return from_edge_list(F.n, edges)
+    adj = [0]
+    for u, (lo, hi) in enumerate(_neighbourhoods(F), start=1):
+        adj.append(((1 << hi) - (1 << (lo - 1))) ^ 1 << (u - 1))
+    return Graph(F.n, tuple(adj))
 
 
 def reverse_facets(F: IntervalFacets) -> IntervalFacets:
@@ -303,36 +307,17 @@ def _recognize_component(G: Graph, comp: int) -> tuple[tuple[int, ...], Interval
     return tuple(perm), fwd
 
 
-def _component_order(pieces: list[tuple[int, tuple[int, ...], IntervalFacets]]):
-    """Order component pieces to make the flattened global facet tuple small.
-
-    Greedy pairwise rule: A goes before B when flatten(A,B) <= flatten(B,A).
-    Exact for connected input (single piece) and for two components; a
-    deterministic, locally optimal order otherwise.
-    """
-
-    def flat(seq):
-        out = []
-        off = 0
-        for _, _, fac in seq:
-            out.extend(x + off for x in fac.flattened())
-            off += fac.n
-        return tuple(out)
-
-    def cmp(a, b):
-        ab, ba = flat([a, b]), flat([b, a])
-        return -1 if ab < ba else (1 if ab > ba else 0)
-
-    return sorted(pieces, key=cmp_to_key(cmp))
-
-
 def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """Decide closedness; on success return a canonical labeling and facets.
 
     Components are recognized separately, each as a vertex mask of G, and
     laid out consecutively; the labeling is indexed by G's vertices 1..n.
-    The returned facets are reproduced exactly by rebuilding the graph from
-    them and applying the inverse labeling (verified before returning).
+    A component goes before another when its flattened facet tuple is
+    smaller, a proper prefix counting as larger (the sentinel n + 1), and
+    equal ones keep their order; no other order of the components makes
+    the global flattened tuple smaller.  The returned facets are reproduced
+    exactly by rebuilding the graph from them and applying the inverse
+    labeling (verified before returning).
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")
@@ -342,7 +327,7 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
         if rec is None:
             return None
         pieces.append((cmask, *rec))
-    pieces = _component_order(pieces)
+    pieces.sort(key=lambda p: p[2].flattened() + (G.n + 1,))
     perm = [0] * (G.n + 1)
     facets = []
     offset = 0
@@ -361,9 +346,8 @@ def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
     """Check that the graph of F, relabeled by the inverse labeling, is G.
 
     The labeling must be a bijection of 1..n.  In the graph of F the closed
-    neighbourhood of label u is the union of the facets containing u, the
-    interval [lo, hi] from the lower end of the first to the upper end of
-    the last.  With prefix[k] the mask, in G's vertex space, of the
+    neighbourhood of label u is the interval [lo, hi] of `_neighbourhoods`.
+    With prefix[k] the mask, in G's vertex space, of the
     vertices labeled 1..k, that interval is prefix[hi] ^ prefix[lo - 1],
     and it must equal the closed neighbourhood in G of the vertex labeled u.
     """
@@ -374,14 +358,8 @@ def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
     prefix = [0]
     for v in inv[1:]:
         prefix.append(prefix[-1] | 1 << (v - 1))
-    first = last = 0  # first facet with b >= u, last facet with a <= u
-    for u in range(1, n + 1):
-        while F.facets[first][1] < u:
-            first += 1
-        while last + 1 < F.r and F.facets[last + 1][0] <= u:
-            last += 1
-        v = inv[u]
-        if prefix[F.facets[last][1]] ^ prefix[F.facets[first][0] - 1] != G.adj[v] | 1 << (v - 1):
+    for v, (lo, hi) in zip(inv[1:], _neighbourhoods(F)):
+        if prefix[hi] ^ prefix[lo - 1] != G.adj[v] | 1 << (v - 1):
             raise AssertionError("recognition round-trip failed to reproduce the input graph")
 
 
@@ -397,44 +375,31 @@ def connected_cutsets(F: IntervalFacets) -> tuple[tuple[int, int], ...]:
     return tuple((a2, b1) for (_, b1), (a2, _) in zip(F.facets, F.facets[1:]))
 
 
-def split_components(F: IntervalFacets) -> tuple[Block, ...]:
-    """Connected components of a facet sequence, re-indexed to 1..n_c."""
-    out = []
-    for i0, i1, lo, hi in F.component_ranges():
-        fac = tuple((a - lo + 1, b - lo + 1) for a, b in F.facets[i0 : i1 + 1])
-        out.append(Block(lo, IntervalFacets(hi - lo + 1, fac)))
-    return tuple(out)
-
-
 def decompose_blocks(F: IntervalFacets) -> tuple[Block, ...]:
-    """Split a connected facet sequence at its free vertices.
+    """Split a facet sequence into its indecomposable blocks, re-indexed.
 
-    A cut at i with |W_i| = 1 (a_{i+1} = b_i) glues two subgraphs at the
-    shared vertex, which is free on both sides; splitting at every such i
-    yields the indecomposable blocks.  Blocks overlap in single vertices;
-    concatenating them (merging the shared endpoints) reconstructs F.
+    A block ends wherever two consecutive facets share at most one vertex
+    (a_{i+1} >= b_i): at a gap a_{i+1} = b_i + 1 between components, or at
+    a cut W_i = {b_i} of one vertex, which glues two subgraphs at a vertex
+    free on both sides.  Inside a block every |W_i| >= 2.  Block starts are
+    vertices of F; concatenating the blocks reconstructs F.
     """
-    if not F.is_connected:
-        raise ValueError("facets describe a disconnected graph; split components first")
-    groups: list[list[tuple[int, int]]] = [[F.facets[0]]]
-    for i in range(1, F.r):
-        if F.facets[i][0] == F.facets[i - 1][1]:  # |W_{i-1}| == 1
-            groups.append([F.facets[i]])
-        else:
-            groups[-1].append(F.facets[i])
+    f = F.facets
     out = []
-    for g in groups:
-        lo, hi = g[0][0], g[-1][1]
-        fac = tuple((a - lo + 1, b - lo + 1) for a, b in g)
-        out.append(Block(lo, IntervalFacets(hi - lo + 1, fac)))
+    start = 0
+    for i in range(1, F.r + 1):
+        if i == F.r or f[i][0] >= f[i - 1][1]:
+            lo, hi = f[start][0], f[i - 1][1]
+            fac = tuple((a - lo + 1, b - lo + 1) for a, b in f[start:i])
+            out.append(Block(lo, IntervalFacets(hi - lo + 1, fac)))
+            start = i
     return tuple(out)
 
 
 def is_indecomposable(F: IntervalFacets) -> bool:
-    """Connected with every consecutive intersection of size >= 2 (or r = 1)."""
-    if not F.is_connected:
-        return False
-    return all(b1 - a2 + 1 >= 2 for (_, b1), (a2, _) in zip(F.facets, F.facets[1:]))
+    """One block under `decompose_blocks`: every consecutive pair of facets
+    shares at least two vertices (vacuous for r = 1)."""
+    return all(a2 < b1 for (_, b1), (a2, _) in zip(F.facets, F.facets[1:]))
 
 
 # -- facet text format ---------------------------------------------------------
@@ -458,7 +423,7 @@ def parse_facet_text(text: str) -> IntervalFacets:
         facets = tuple((int(a), int(b)) for a, b in rows[1:])
     except ValueError:
         raise GraphInputError("facet text: non-integer field")
-    if n > MAX_VERTICES:  # before build_graph lists every clique edge
+    if n > MAX_VERTICES:  # before any work on the facets, with the 1..64 message
         raise GraphInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     if len(facets) != r:
         raise GraphInputError(f"facet text: header promises {r} facets, got {len(facets)}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .closed import IntervalFacets
+from .closed import IntervalFacets, is_indecomposable
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,7 +56,7 @@ def enumerate_closed_indecomposable(n: int) -> Iterator[IntervalFacets]:
     if n < 2:
         raise ValueError("n >= 2")
     for F in enumerate_closed_connected(n):
-        if all(b1 - a2 + 1 >= 2 for (_, b1), (a2, _) in zip(F.facets, F.facets[1:])):
+        if is_indecomposable(F):
             yield F
 
 

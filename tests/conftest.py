@@ -2,16 +2,19 @@
 test-only reference implementations that the library does not need."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from edgeideals.closed import (
+    Block,
     IntervalFacets,
     _in_order,
     _lbfs,
     build_graph,
-    interval_facets,
+    closed_labeling_witness,
     is_indecomposable,
     reverse_facets,
 )
@@ -23,6 +26,7 @@ from edgeideals.complexes import (
     _profile_masks,
     _prune_to_maximal,
 )
+from edgeideals.enumerators import random_closed
 from edgeideals.errors import GraphInputError, NotClosedError
 from edgeideals.graphs import Graph, bits, from_edge_list, mask_of
 
@@ -159,13 +163,99 @@ def parse_edge_list_ref(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
+def interval_facets_ref(G: Graph) -> IntervalFacets:
+    """Reference `interval_facets`: the witness test, then one reach scan per
+    vertex (how far the clique of common neighbours extends upwards)."""
+    witness = closed_labeling_witness(G)
+    if witness is not None:
+        present, missing = witness
+        raise NotClosedError(
+            f"labeling is not closed: edge {present} forces pair {missing}",
+            witness=witness,
+        )
+    n = G.n
+    reach = [0] * (n + 2)
+    for a in range(1, n + 1):
+        b = a
+        common = G.adj[a]
+        while b < n and (common >> b) & 1:  # bit b is vertex b+1
+            b += 1
+            common &= G.adj[b]
+        reach[a] = b
+    facets = [(a, reach[a]) for a in range(1, n + 1) if a == 1 or reach[a] > reach[a - 1]]
+    return IntervalFacets(n, tuple(facets))
+
+
 def closed_order_facets_ref(adj, order: list[int]) -> IntervalFacets | None:
     """Reference closedness test of a vertex order: relabel the adjacency
-    into the order and read the facets with `interval_facets`."""
+    into the order and read the facets with `interval_facets_ref`."""
     try:
-        return interval_facets(Graph(len(order), (0, *_in_order(adj, order))))
+        return interval_facets_ref(Graph(len(order), (0, *_in_order(adj, order))))
     except NotClosedError:
         return None
+
+
+def build_graph_ref(F: IntervalFacets) -> Graph:
+    """Reference `build_graph`: every edge of every facet clique, listed."""
+    edges = []
+    for a, b in F.facets:
+        for u in range(a, b + 1):
+            for v in range(u + 1, b + 1):
+                edges.append((u, v))
+    return from_edge_list(F.n, edges)
+
+
+def split_components_ref(F: IntervalFacets) -> tuple[Block, ...]:
+    """Connected components of a facet sequence (split at every gap
+    a_{i+1} = b_i + 1), re-indexed to 1..n_c."""
+    groups = [[F.facets[0]]]
+    for (_, b1), (a2, b2) in zip(F.facets, F.facets[1:]):
+        if a2 == b1 + 1:
+            groups.append([])
+        groups[-1].append((a2, b2))
+    return tuple(_block_ref(g) for g in groups)
+
+
+def _block_ref(group) -> Block:
+    lo, hi = group[0][0], group[-1][1]
+    return Block(lo, IntervalFacets(hi - lo + 1, tuple((a - lo + 1, b - lo + 1) for a, b in group)))
+
+
+def blocks_ref(F: IntervalFacets) -> tuple[Block, ...]:
+    """Reference block decomposition: split into components first, then
+    each component at every single shared vertex a_{i+1} = b_i; block
+    starts are vertices of F."""
+    out = []
+    for comp in split_components_ref(F):
+        groups = [[comp.facets.facets[0]]]
+        for (_, b1), (a2, b2) in zip(comp.facets.facets, comp.facets.facets[1:]):
+            if a2 == b1:
+                groups.append([])
+            groups[-1].append((a2, b2))
+        out += [Block(comp.start + blk.start - 1, blk.facets) for blk in map(_block_ref, groups)]
+    return tuple(out)
+
+
+def flatten_pieces(pieces) -> tuple[int, ...]:
+    """Endpoints of the facets of (mask, perm, facets) pieces laid out
+    consecutively, as recognition lays out components."""
+    out = []
+    off = 0
+    for _, _, fac in pieces:
+        out.extend(x + off for x in fac.flattened())
+        off += fac.n
+    return tuple(out)
+
+
+def component_order_ref(pieces):
+    """Reference component order of recognition: the pairwise comparator
+    "A before B when flatten(A, B) <= flatten(B, A)" through `cmp_to_key`."""
+
+    def cmp(a, b):
+        ab, ba = flatten_pieces([a, b]), flatten_pieces([b, a])
+        return -1 if ab < ba else (1 if ab > ba else 0)
+
+    return sorted(pieces, key=cmp_to_key(cmp))
 
 
 def recognize_component_ref(G: Graph, comp: int):
@@ -185,6 +275,38 @@ def recognize_component_ref(G: Graph, comp: int):
         perm = [0 if p == 0 else len(pi3) + 1 - p for p in perm]
         fwd = rev
     return tuple(perm), fwd
+
+@st.composite
+def disconnected_facets(draw, max_pieces: int = 5) -> IntervalFacets:
+    """Facets of a disjoint union of 2..max_pieces connected closed graphs.
+
+    Pieces are isolated vertices, single edges, random chains, and copies,
+    reversals and proper prefixes of earlier pieces (a prefix of a chain is
+    the chain cut after one of its facets), so equal pieces and pieces whose
+    flattened tuple is a prefix of another's both occur.  Every piece has
+    at most 12 vertices, so n <= 60.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    pieces: list[IntervalFacets] = []
+    for _ in range(draw(st.integers(2, max_pieces))):
+        kind = rng.choice(("vertex", "edge", "chain", "chain", "copy", "reverse", "prefix"))
+        if kind in ("copy", "reverse", "prefix") and pieces:
+            P = rng.choice(pieces)
+            if kind == "reverse":
+                P = reverse_facets(P)
+            elif kind == "prefix":
+                cut = rng.randint(1, P.r)
+                P = IntervalFacets(P.facets[cut - 1][1], P.facets[:cut])
+        else:
+            size = {"vertex": 1, "edge": 2}.get(kind) or rng.randint(1, 12)
+            P = random_closed(size, rng.getrandbits(64), rng.random())
+        pieces.append(P)
+    facets, off = [], 0
+    for P in pieces:
+        facets += [(a + off, b + off) for a, b in P.facets]
+        off += P.n
+    return IntervalFacets(off, tuple(facets))
+
 
 def components_ref(G: Graph, removed=()) -> tuple[tuple[int, ...], ...]:
     """Reference components of G minus the removed vertices.

@@ -1,12 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from edgeideals.classify import (
     classify,
     classify_facets,
     is_almost_cm_indecomposable,
-    is_cm_closed,
     is_scm_indecomposable,
 )
 from edgeideals.closed import IntervalFacets, build_graph
@@ -23,9 +23,12 @@ from conftest import (
     SEVEN_ALMOST,
     SEVEN_NOT_ALMOST,
     SEVEN_NOT_SCM,
+    blocks_ref,
     claw,
+    disconnected_facets,
     path_graph,
     relabel,
+    split_components_ref,
     wsize_chain_check,
 )
 
@@ -44,9 +47,26 @@ def union_graph(*facet_seqs):
 
 
 def test_is_cm_closed_examples():
-    assert is_cm_closed(IntervalFacets(4, ((1, 2), (2, 3), (3, 4))))
-    assert not is_cm_closed(SEVEN_NOT_SCM)
-    assert is_cm_closed(IntervalFacets(5, ((1, 5),)))
+    assert classify_facets(IntervalFacets(4, ((1, 2), (2, 3), (3, 4)))).cm
+    assert not classify_facets(SEVEN_NOT_SCM).cm
+    assert classify_facets(IntervalFacets(5, ((1, 5),))).cm
+
+
+@given(disconnected_facets())
+@settings(max_examples=300, deadline=None)
+def test_classify_facets_matches_component_reference(F):
+    # blocks, components, CM and dimension of the block pass, against the
+    # split into components first and the per-component CM test
+    comps = split_components_ref(F)
+    for G in (F, *(comp.facets for comp in comps)):
+        parts = split_components_ref(G)
+        c = classify_facets(G)
+        assert c.blocks == tuple(blk.facets for blk in blocks_ref(G))
+        assert c.components == len(parts)
+        cm = all(b1 == a2 for P in parts
+                 for (_, b1), (a2, _) in zip(P.facets.facets, P.facets.facets[1:]))
+        assert c.cm == c.unmixed == cm
+        assert c.krull_dim == sum(P.n + 1 for P in parts)
 
 
 def test_scm_indecomposable_golden():

@@ -18,7 +18,7 @@ from edgeideals.cli import (
     run,
 )
 from edgeideals.closed import IntervalFacets, build_graph, format_facet_text
-from edgeideals.enumerators import enumerate_closed_connected
+from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import GraphInputError
 from edgeideals.graphs import format_edge_list, from_edge_list
 
@@ -159,7 +159,7 @@ def test_facets_text_output():
 
 
 def test_verify_small_sweep_exit_0():
-    from edgeideals.enumerators import enumerate_closed_connected
+    from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
     for F in enumerate_closed_connected(5):
         code, out, err = run_argv(["verify"], format_facet_text(F).encode())
@@ -305,6 +305,45 @@ def test_classify_output_pinned():
             count += 1
     assert count == 197
     assert digest.hexdigest() == "fd6df926e717efc4c210a8413bb78fc24e836b33692491e87195ef356d665394"
+
+def disconnected_corpus():
+    """Edge-list inputs for the pinned disconnected digest: 120 disjoint
+    unions of 2-5 connected closed graphs with n <= 60, isolated vertices
+    and single edges among the pieces, under a seeded label shuffle; then
+    64 isolated vertices and a shuffled perfect matching on 64 vertices."""
+    rng = random.Random(13)
+    for _ in range(120):
+        edges, n = [], 0
+        for _ in range(rng.randint(2, 5)):
+            kind = rng.random()
+            size = 1 if kind < 0.2 else 2 if kind < 0.4 else rng.randint(1, 12)
+            piece = build_graph(random_closed(size, rng.getrandbits(64), rng.random()))
+            edges += [(u + n, v + n) for u, v in piece.edges()]
+            n += size
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        yield from_edge_list(n, [(p[u - 1], p[v - 1]) for u, v in edges])
+    yield from_edge_list(64, [])
+    p = list(range(1, 65))
+    rng.shuffle(p)
+    yield from_edge_list(64, [(p[i], p[i + 1]) for i in range(0, 64, 2)])
+
+
+def test_disconnected_output_pinned():
+    # the whole stdout of `recognize`, `classify` and `facets --facet-text`
+    # on disjoint unions: component order, labeling, blocks and dimension
+    digest = hashlib.sha256()
+    count = 0
+    for G in disconnected_corpus():
+        data = format_edge_list(G).encode()
+        for argv in (["recognize"], ["classify"], ["facets", "--facet-text"]):
+            code, out, err = run_argv(argv, data)
+            assert code == EXIT_OK, err
+            digest.update(out)
+        count += 1
+    assert count == 122
+    assert digest.hexdigest() == "1d7fac37e56f868627f56f808c6dc3195ebdac9617423b7bdf72c526e7bd6617"
+
 
 def test_verify_output_pinned():
     # the whole stdout of `verify` on every connected closed graph with n <= 6

@@ -1,10 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeideals.closed import (
+    Block,
     ClosedLabeling,
     IntervalFacets,
     _closed_order_facets,
@@ -16,10 +18,10 @@ from edgeideals.closed import (
     decompose_blocks,
     format_facet_text,
     interval_facets,
+    is_indecomposable,
     parse_facet_text,
     recognize_closed,
     reverse_facets,
-    split_components,
 )
 from edgeideals.errors import GraphInputError, NotClosedError
 from edgeideals.graphs import component_masks, from_edge_list, permute_masks, vertices_of
@@ -29,10 +31,16 @@ from conftest import (
     NINE_SCM,
     SEVEN_NOT_SCM,
     all_graphs,
+    blocks_ref,
     brute_force_is_closed,
+    build_graph_ref,
     claw,
     closed_order_facets_ref,
     complete_graph,
+    component_order_ref,
+    disconnected_facets,
+    flatten_pieces,
+    interval_facets_ref,
     lbfs_ref,
     path_graph,
     recognize_component_ref,
@@ -49,7 +57,7 @@ def test_interval_facets_invariants():
         IntervalFacets(5, ((1, 2), (4, 5)))  # vertex 3 uncovered
     F = IntervalFacets(5, ((1, 2), (3, 5)))
     assert not F.is_connected
-    assert F.component_ranges() == ((0, 0, 1, 2), (1, 1, 3, 5))
+    assert [(b.start, b.facets.facets) for b in decompose_blocks(F)] == [(1, ((1, 2),)), (3, ((1, 3),))]
 
 
 def test_recognize_complete_and_showcase(seven_graph):
@@ -115,7 +123,7 @@ def test_recognize_disconnected_layout():
     lab, F = recognize_closed(G)
     assert F.facets == ((1, 1), (2, 4))
     assert not F.is_connected
-    assert len(split_components(F)) == 2
+    assert len(decompose_blocks(F)) == 2
 
 
 def test_interval_facets_examples(nine_graph):
@@ -186,7 +194,7 @@ def test_facet_text_roundtrip():
 
 
 def test_facet_text_bounds_n_before_building():
-    # n is checked in the parser, before build_graph would list every edge
+    # n is checked in the parser, before any work on the facets
     F = parse_facet_text("closed 64 1\n1 64\n")
     assert build_graph(F).num_edges() == 64 * 63 // 2
     for n in (65, 100000):
@@ -439,3 +447,71 @@ def test_recognition_of_induced_subgraphs():
             H = _induced(G, set(rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
             lab, FH = recognize_closed(H)
             assert lab.apply(H) == build_graph(FH)
+
+
+def test_closed_labeling_apply_refuses_non_bijections():
+    G = from_edge_list(3, [(1, 2)])
+    for perm in ((0, 1, 1, 2), (0, 1, 5, 2), (0, 1, 2), (0, 0, 1, 2), (0, 1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            ClosedLabeling(perm).apply(G)
+
+
+# -- the facet-list walks against the reference code ---------------------------
+
+
+@given(disconnected_facets())
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_reference(F):
+    assert build_graph(F) == build_graph_ref(F)
+    for blk in blocks_ref(F):
+        assert build_graph(blk.facets) == build_graph_ref(blk.facets)
+
+
+@given(disconnected_facets())
+@settings(max_examples=300, deadline=None)
+def test_decompose_blocks_matches_reference(F):
+    # across the gaps between components and at single shared vertices
+    blocks = decompose_blocks(F)
+    assert blocks == blocks_ref(F)
+    assert all(is_indecomposable(blk.facets) for blk in blocks)
+    assert is_indecomposable(F) == (len(blocks) == 1)
+    for blk in blocks:
+        assert decompose_blocks(blk.facets) == (Block(1, blk.facets),)
+
+
+@given(disconnected_facets(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_component_order_matches_reference(F, rng):
+    # equal components keep their order; a component whose flattened tuple
+    # is a proper prefix of another's goes after it
+    G = _shuffled(build_graph(F), rng)
+    pieces = [(c, *_recognize_component(G, c)) for c in component_masks(G)]
+    perm, facets, off = [0] * (G.n + 1), [], 0
+    for cmask, perm_local, fac in component_order_ref(pieces):
+        for v in vertices_of(cmask):
+            perm[v] = off + perm_local[v]
+        facets += [(a + off, b + off) for a, b in fac.facets]
+        off += fac.n
+    lab, got = recognize_closed(G)
+    assert lab.perm == tuple(perm) and got.facets == tuple(facets)
+    # no other order of the components gives a smaller flattened tuple
+    assert got.flattened() == min(map(flatten_pieces, permutations(pieces)))
+
+
+@given(disconnected_facets(), recognition_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=250, deadline=None)
+def test_interval_facets_matches_reference(F, H, rng):
+    # graphs of facet lists in their own labeling, the same with one pair
+    # flipped, and shuffled graphs, which are mostly not closed as labeled
+    G = build_graph(F)
+    u, v = rng.sample(range(1, G.n + 1), 2)
+    near = from_edge_list(G.n, set(G.edges()) ^ {(min(u, v), max(u, v))})
+    for X in (G, near, H):
+        try:
+            want = interval_facets_ref(X)
+        except NotClosedError as exc:
+            with pytest.raises(NotClosedError) as got:
+                interval_facets(X)
+            assert str(got.value) == str(exc) and got.value.witness == exc.witness
+        else:
+            assert interval_facets(X) == want
