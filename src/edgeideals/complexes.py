@@ -1,12 +1,13 @@
 """Simplicial complexes and the three homological criteria of the oracle.
 
-The surface is `SimplicialComplex` and what the oracle asks of it:
-Reisner's Cohen-Macaulay test, Duval's sequential CM test and depth by
-Hochster's formula.  Underneath, an engine computes reduced simplicial
-homology over Q by exact integer elimination on boundary matrices, for the
-criteria only; it has no public entry.  Three homotopy-preserving
-reductions are applied first, because the complexes arising from
-monomial-ideal sweeps are huge but overwhelmingly contractible:
+The surface is `SimplicialComplex`, stored as its facet masks only (every
+function below works on masks), and what the oracle asks of it: Reisner's
+Cohen-Macaulay test, Duval's sequential CM test and depth by Hochster's
+formula.  Underneath, an engine computes reduced simplicial homology over
+Q by exact integer elimination on boundary matrices, for the criteria
+only; it has no public entry.  Three homotopy-preserving reductions are
+applied first, because the complexes arising from monomial-ideal sweeps
+are huge but overwhelmingly contractible:
 
   * split into vertex-disjoint pieces (homology adds, with the usual
     correction in degree 0),
@@ -33,12 +34,10 @@ the vertex links with t - 1; at t = 1 the vertex links reduce to "no
 vertex is a facet on its own", so none is built.  Reisner is the case
 "pure, t = dim".  Duval's sequential CM criterion (every pure i-skeleton
 is CM) is the case t = i on the subcomplex generated by the facets with
-more than i vertices, so the skeletons are never built.  That subcomplex
-only changes at a facet size, and the check is monotone in t, so Duval asks
-once per distinct facet size s: t = s - 1 on the facets with at least s
-vertices.  Results are memoised per (facets, t, face cap) and homology
-profiles per (facets, face cap): a call's answer, or its ResourceCapError,
-does not depend on the calls made before it.
+more than i vertices, so the skeletons are never built.  Results are
+memoised per (facets, t, face cap) and homology profiles per (facets,
+face cap): a call's answer, or its ResourceCapError, does not depend on
+the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -50,10 +49,13 @@ the sweep visits those by descending size, stopping as soon as smaller
 subsets cannot beat the best contribution found.  A restriction is the
 join of its restrictions to the connected components of the 2-section
 graph of the minimal nonfaces inside the subset, so the sweep computes
-homology per component, with memoization, and adds the degrees.  The sweep
-never looks at links, so depth against Reisner and the oracle's Goodarzi
-filtration check (depth of each facet-size truncation, once per distinct
-facet size) against Duval compare independent code paths.
+homology per component, with memoization, and adds the degrees.
+
+Duval's criterion and the oracle's Goodarzi check ask about the same
+subcomplexes, one per distinct facet size, and `facet_truncations` walks
+them for both; the walk only chooses them.  The depth sweep never looks at
+links, so depth against Reisner and Goodarzi against Duval compare
+independent code paths.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
-from .graphs import bits, mask_of
+from .graphs import bits, mask_of, union_of, vertices_of
 from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -83,67 +85,62 @@ def _prune_to_maximal(masks) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract simplicial complex given by its facets.
+    """Abstract simplicial complex on {1..n_vertices}, stored as its facet masks.
 
-    facets are pairwise incomparable vertex sets (use `from_faces` to build
-    from an arbitrary generating family).  The void complex has no facets
-    at all; the complex {emptyset} has the single facet frozenset().
+    mask_key holds pairwise incomparable facets, vertex v at bit v - 1;
+    `from_faces` builds it from any family of vertex sets, and `facets`
+    reads it back as vertex sets.  The void complex has no facets at all;
+    the complex {emptyset} has the single facet mask 0.
     """
 
     n_vertices: int
-    facets: frozenset[frozenset[int]]
+    mask_key: frozenset[int]
 
     def __post_init__(self):
-        masks = []
-        for f in self.facets:
-            m = 0
-            for v in f:
-                if not 1 <= v <= self.n_vertices:
-                    raise ValueError(f"vertex {v} outside 1..{self.n_vertices}")
-                m |= 1 << (v - 1)
-            masks.append(m)
-        key = frozenset(masks)
-        if len(key) != len(masks):
-            raise ValueError("duplicate facets")
-        # containment needs strictly larger size, so equal-size groups are free
-        by_size: dict[int, list[int]] = {}
-        for m in masks:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        sizes = sorted(by_size)
-        for si, s in enumerate(sizes):
-            larger = [m for t in sizes[si + 1:] for m in by_size[t]]
-            if larger:
-                for m in by_size[s]:
-                    if any(m & k == m for k in larger):
-                        raise ValueError("facets must be pairwise incomparable")
-        object.__setattr__(self, "_mask_key", key)
+        key = self.mask_key
+        if not all(isinstance(m, int) for m in key):
+            raise TypeError("facets are vertex masks; use from_faces to build from vertex sets")
+        if key and (min(key) < 0 or max(key) >> self.n_vertices):
+            raise ValueError(f"facet mask with a vertex outside 1..{self.n_vertices}")
+        if len(_prune_to_maximal(key)) != len(key):
+            raise ValueError("facets must be pairwise incomparable")
 
     @classmethod
     def from_faces(cls, n_vertices: int, faces) -> "SimplicialComplex":
-        """Complex generated by an arbitrary family of faces."""
-        return cls(n_vertices, frozenset(
-            frozenset(b + 1 for b in bits(m)) for m in _prune_to_maximal(map(mask_of, faces))
-        ))
+        """Complex generated by an arbitrary family of faces (vertex sets)."""
+        return cls(n_vertices, _prune_to_maximal(map(mask_of, faces)))
 
     @property
-    def mask_key(self) -> frozenset[int]:
-        return self._mask_key
+    def facets(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(vertices_of(m)) for m in self.mask_key)
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.mask_key
 
     @property
     def dim(self) -> int:
         if self.is_void:
             raise ValueError("the void complex has no dimension")
-        return max(m.bit_count() for m in self._mask_key) - 1
+        return max(m.bit_count() for m in self.mask_key) - 1
 
     def support_mask(self) -> int:
-        s = 0
-        for m in self._mask_key:
-            s |= m
-        return s
+        return union_of(self.mask_key)
+
+
+def facet_truncations(C: SimplicialComplex):
+    """Yield (s, facets with at least s vertices) for each distinct facet
+    size s of C, ascending.
+
+    Duval's and Goodarzi's criteria ask, for every i, about the subcomplex
+    generated by the facets with more than i vertices.  For every i from the
+    next smaller facet size (or 0) up to s - 1 that is the subcomplex
+    yielded with s, so each criterion asks once per s, at i = s - 1.
+    """
+    if C.is_void:
+        raise ValueError("void complex")
+    for s in sorted({m.bit_count() for m in C.mask_key}):
+        yield s, frozenset(m for m in C.mask_key if m.bit_count() >= s)
 
 # -- faces, collapses, boundary matrices ---------------------------------------
 
@@ -183,9 +180,7 @@ def _strong_collapse(facet_masks) -> list[int]:
     changed = True
     while changed:
         changed = False
-        support = 0
-        for f in facets:
-            support |= f
+        support = union_of(facets)
         for b in bits(support):
             v = 1 << b
             shared = support
@@ -329,10 +324,7 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
         return hit
     result = not any(d < t and b for d, b in _profile_masks(facets_key, cap).items())
     if result:
-        support = 0
-        for m in facets_key:
-            support |= m
-        for b in bits(support):
+        for b in bits(union_of(facets_key)):
             v = 1 << b
             # facets through v, minus v, are already pairwise incomparable
             lk = frozenset(f & ~v for f in facets_key if f & v)
@@ -367,19 +359,12 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
     no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009).
     The skeleton itself is never built.
 
-    That subcomplex changes only at a facet size: for every i from the
-    next smaller facet size (or 0) up to s - 1 it is the subcomplex
-    generated by the facets with at least s vertices, and the check at
-    i = s - 1 implies the checks at smaller i.  So each distinct facet size
-    s is checked once, at s - 1; a pure complex needs one check, the one
-    Reisner's criterion makes.  Goodarzi's filtration criterion in the
-    oracle reaches the same verdict through the independent Hochster depth
-    sweep.
+    Each subcomplex of `facet_truncations` is checked once, at i = s - 1,
+    which implies the checks at smaller i; a pure complex needs one check,
+    the one Reisner's criterion makes.  Goodarzi's filtration criterion in
+    the oracle reaches the same verdict through the Hochster depth sweep.
     """
-    if C.is_void:
-        raise ValueError("void complex")
-    for s in sorted({m.bit_count() for m in C.mask_key}):
-        kept = frozenset(m for m in C.mask_key if m.bit_count() >= s)
+    for s, kept in facet_truncations(C):
         if not _links_acyclic(kept, s - 1, max_faces):
             return False
     return True
@@ -399,9 +384,7 @@ def _minimal_nonfaces(facet_masks) -> list[int]:
     minimal unless it contains a transversal that stayed.  For a flag
     complex the result is exactly its non-edges.
     """
-    support = 0
-    for f in facet_masks:
-        support |= f
+    support = union_of(facet_masks)
     trans = [0]
     for f in facet_masks:
         comp = support & ~f
@@ -467,10 +450,7 @@ def depth_hochster(
     ghosts = numvars - C.support_mask().bit_count()
     facet_masks = sorted(C.mask_key)
     nonfaces = _minimal_nonfaces(facet_masks)
-    span = 0
-    for nf in nonfaces:
-        span |= nf
-    verts = list(bits(span))  # local vertex k is global bit verts[k]
+    verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
     local = {b: 1 << k for k, b in enumerate(verts)}
     m = len(verts)
     adj = [0] * m  # 2-section graph of the minimal nonfaces

@@ -32,7 +32,7 @@ from itertools import combinations
 
 from .closed import IntervalFacets, connected_cutsets
 from .errors import ResourceCapError
-from .graphs import Graph, mask_of, simplicial_mask, vertices_of
+from .graphs import Graph, simplicial_mask, vertices_of
 
 BRUTE_FORCE_CAP = 20  # 2^n subset sweep
 _FILL_CHUNK = 1 << 12  # words per slice of the neighbourhood table fill
@@ -50,10 +50,6 @@ class CutSetRecord:
     c: int
     dim: int
     parts: tuple[tuple[int, ...], ...]
-
-    @property
-    def mask(self) -> int:
-        return mask_of(self.W)
 
     def sort_key(self):
         return (len(self.W), self.W)
@@ -92,11 +88,11 @@ def _record(G: Graph, nb: array, wmask: int) -> CutSetRecord:
     return CutSetRecord(vertices_of(wmask), c, G.n - wmask.bit_count() + c, tuple(parts))
 
 
-def cutsets_bruteforce(G: Graph, cap: int = BRUTE_FORCE_CAP) -> tuple[CutSetRecord, ...]:
+def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
     """All W whose prime is minimal, by the removal test on every W free of simplicial vertices."""
-    if G.n > cap:
-        raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {cap} (got n = {G.n}); "
-                               "use the structural enumerator for closed graphs")
+    if G.n > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {BRUTE_FORCE_CAP} "
+                               f"(got n = {G.n}); use the structural enumerator for closed graphs")
     nb = _neighbourhood_table(G)
     full = G.full_mask
     cand = full & ~simplicial_mask(G)

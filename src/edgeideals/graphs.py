@@ -12,7 +12,9 @@ All public interfaces speak 1-based vertex labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice
+from operator import or_
 from typing import NoReturn
 
 from .errors import GraphInputError
@@ -34,6 +36,11 @@ def mask_of(vertices) -> int:
     for v in vertices:
         m |= 1 << (v - 1)
     return m
+
+
+def union_of(masks) -> int:
+    """Bitwise OR of an iterable of masks; 0 when it is empty."""
+    return reduce(or_, masks, 0)
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
@@ -85,9 +92,6 @@ class Graph:
         if not 0 <= self.n <= MAX_VERTICES:
             raise GraphInputError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> (v - 1)) & 1)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []
         for v in range(1, self.n + 1):
@@ -95,9 +99,6 @@ class Graph:
                 if b + 1 > v:
                     out.append((v, b + 1))
         return tuple(out)
-
-    def num_edges(self) -> int:
-        return sum(self.adj[v].bit_count() for v in range(1, self.n + 1)) // 2
 
     @property
     def full_mask(self) -> int:
@@ -157,13 +158,6 @@ def _bron_kerbosch(adj: tuple[int, ...], R: int, P: int, X: int, out: list[int])
         _bron_kerbosch(adj, R | v, P & adj[b + 1], X & adj[b + 1], out)
         P &= ~v
         X |= v
-
-
-def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques of G, deterministically sorted."""
-    out: list[int] = []
-    _bron_kerbosch(G.adj, 0, G.full_mask, 0, out)
-    return tuple(sorted(vertices_of(m) for m in out))
 
 
 def clique_degree(G: Graph, v: int) -> int:
@@ -255,9 +249,3 @@ def _edge_list_error(text: str) -> NoReturn:
         raise GraphInputError("empty edge-list input")
     from_edge_list(n, edges)
     raise AssertionError("edge-list text rejected by the bulk parser but not by the scan")
-
-
-def format_edge_list(G: Graph) -> str:
-    lines = [str(G.n)]
-    lines += [f"{u} {v}" for u, v in G.edges()]
-    return "\n".join(lines) + "\n"

@@ -1,14 +1,17 @@
 """Exact rank of sparse integer matrices.
 
-Boundary matrices of simplicial complexes are sparse with entries +-1, so
-one sparse elimination does all the work.  It pivots on a +-1 entry while
-one is left, chosen Markowitz-style (least (row length - 1) * (column
-count - 1)) to limit fill, and the update is then unimodular.  When no
-unit entry is left it pivots on an entry of least absolute value and
-updates the other rows fraction-free (row * p - f * pivot row), dividing
-each updated row by the gcd of its entries.  Everything is Python
-integers; no floating point anywhere.  `rank_bareiss` enters the same
-elimination with dense rows.
+A matrix is given as a dict of lines {line: {index: value}}.  A line may
+be a row or a column: rank(A) = rank(A^T), so the elimination treats every
+line it is given as a row, and the boundary matrices of the homology
+engine go in column by column as they are built.  These are sparse with
+entries +-1, so one sparse elimination does all the work.  It pivots on a
++-1 entry while one is left, chosen Markowitz-style (least (line length
+- 1) * (count of lines through the index - 1)) to limit fill, and the
+update is then unimodular.  When no unit entry is left it pivots on an
+entry of least absolute value and updates the other lines fraction-free
+(line * p - f * pivot line), dividing each updated line by the gcd of its
+entries.  Everything is Python integers; no floating point anywhere.
+`rank_bareiss` enters the same elimination with dense rows.
 """
 
 from __future__ import annotations
@@ -16,18 +19,17 @@ from __future__ import annotations
 from math import gcd
 
 
-def rank_sparse_pm(cols: dict[int, dict[int, int]]) -> int:
-    """Rank over Q of a sparse integer matrix given column-major as
-    {col: {row: val}}."""
+def rank_sparse_pm(lines: dict[int, dict[int, int]]) -> int:
+    """Rank over Q of a sparse integer matrix given as {line: {index: val}},
+    its lines being either all its rows or all its columns."""
     rows: dict[int, dict[int, int]] = {}
-    for c, col in cols.items():
-        for r, v in col.items():
-            if v:
-                rows.setdefault(r, {})[c] = v
     col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
+    for r, line in lines.items():
+        row = {c: v for c, v in line.items() if v}
+        if row:
+            rows[r] = row
+            for c in row:
+                col_rows.setdefault(c, set()).add(r)
 
     rank = 0
     while rows:
@@ -87,9 +89,4 @@ def rank_bareiss(rows) -> int:
     The library itself only calls `rank_sparse_pm`; this is the same
     fraction-free elimination under the name `perfbench/tracing.py` traces.
     """
-    cols: dict[int, dict[int, int]] = {}
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            if v:
-                cols.setdefault(c, {})[r] = int(v)
-    return rank_sparse_pm(cols)
+    return rank_sparse_pm({r: {c: int(v) for c, v in enumerate(row)} for r, row in enumerate(rows)})

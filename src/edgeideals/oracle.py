@@ -19,12 +19,14 @@ there, and Goodarzi reuses the oracle's depth of the whole complex.
 Likewise Reisner's CM verdict (links) is checked against depth == dim
 (Auslander-Buchsbaum).
 
-The oracle certifies invariants of the initial ideal.  Carrying them back
-to the binomial ideal itself uses the standard transfer theorem for
-squarefree initial degenerations (Conca-Varbaro): extremal Betti numbers,
-hence depth, dimension, CM-ness and sequential CM-ness, are preserved.
-Reports are therefore tagged "squarefree-degeneration", and everything is
-characteristic 0 only.
+The oracle certifies invariants of the initial ideal.  Depth, dimension,
+CM-ness and almost-CM-ness carry over to the binomial ideal by the transfer
+theorem for squarefree initial degenerations (Conca-Varbaro 2020).
+Sequential CM-ness does not: the initial ideal of ((1,3),(2,4),(4,6),(5,7))
+is SCM under the closed labeling, not under v -> (5,4,7,2,1,3,6)[v-1].  So
+scm is the verdict under the closed labeling, which `verify` checks against
+the paper's criterion.  Reports are tagged "squarefree-degeneration", and
+everything is characteristic 0 only.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from .complexes import (
     SimplicialComplex,
     check_var_cap,
     depth_hochster,
+    facet_truncations,
     is_cm_reisner,
     is_scm_duval,
 )
 from .errors import NotClosedError
-from .graphs import Graph, _bron_kerbosch, bits
+from .graphs import Graph, _bron_kerbosch, union_of
 
 
 @dataclass(frozen=True)
@@ -102,12 +105,9 @@ def stanley_reisner_complex(gens, n: int) -> SimplicialComplex:
         comp[v] = full & ~adj[v] & ~(1 << (v - 1))
     out: list[int] = []
     _bron_kerbosch(tuple(comp), 0, full, 0, out)  # maximal cliques of the complement
-    support = 0
-    for f in out:
-        support |= f
-    if support != full:
+    if union_of(out) != full:
         raise AssertionError("quadratic generators must leave every vertex a face")
-    return SimplicialComplex.from_faces(m, [tuple(b + 1 for b in bits(f)) for f in out])
+    return SimplicialComplex(m, frozenset(out))
 
 
 def goodarzi_check(
@@ -125,20 +125,17 @@ def goodarzi_check(
     is sequentially CM iff that quotient has depth >= i + 1 for every
     0 <= i <= dim C, in the ring with one variable per vertex of C's universe.
 
-    That subcomplex changes only at a facet size: for every i from the next
-    smaller facet size (or 0) up to s - 1 it is the one generated by the
-    facets with at least s vertices, and depth >= s there covers all of
-    those i.  So each distinct facet size s costs one depth sweep; below
-    the smallest facet size the subcomplex is C itself, whose depth the
-    oracle has already computed and passes as depth_of_complex.
+    Each subcomplex of `facet_truncations` costs one depth sweep, and
+    depth >= s there covers every i it stands for.  The first one is C
+    itself, whose depth the oracle has already computed and passes as
+    depth_of_complex.
     """
-    if C.is_void:
-        raise ValueError("void complex")
     depth = depth_of_complex  # C is the truncation at the smallest facet size
-    # size 0 is the complex {emptyset}: dim -1 leaves no i to check
-    for s in sorted({m.bit_count() for m in C.mask_key} - {0}):
+    for s, kept in facet_truncations(C):
+        if s == 0:
+            continue  # the complex {emptyset}: dim -1 leaves no i to check
         if depth is None:
-            sub = SimplicialComplex(C.n_vertices, frozenset(f for f in C.facets if len(f) >= s))
+            sub = SimplicialComplex(C.n_vertices, kept)
             depth = depth_hochster(sub, max_vars=max_vars, max_faces=max_faces)
         if depth < s:
             return False

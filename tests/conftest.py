@@ -26,9 +26,10 @@ from edgeideals.complexes import (
     _profile_masks,
     _prune_to_maximal,
 )
+from edgeideals.cutsets import CutSetRecord
 from edgeideals.enumerators import random_closed
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import Graph, bits, from_edge_list, mask_of
+from edgeideals.graphs import Graph, _bron_kerbosch, bits, from_edge_list, mask_of, vertices_of
 
 
 # The four showcase facet sequences exercised throughout the suite.
@@ -62,6 +63,31 @@ def claw() -> Graph:
 
 def relabel(G: Graph, perm: dict[int, int]) -> Graph:
     return from_edge_list(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    return bool((G.adj[u] >> (v - 1)) & 1)
+
+
+def num_edges(G: Graph) -> int:
+    return sum(G.adj[v].bit_count() for v in range(1, G.n + 1)) // 2
+
+
+def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:
+    """All maximal cliques of G, deterministically sorted."""
+    out: list[int] = []
+    _bron_kerbosch(G.adj, 0, G.full_mask, 0, out)
+    return tuple(sorted(vertices_of(m) for m in out))
+
+
+def format_edge_list(G: Graph) -> str:
+    lines = [str(G.n)]
+    lines += [f"{u} {v}" for u, v in G.edges()]
+    return "\n".join(lines) + "\n"
+
+
+def cutset_mask(r: CutSetRecord) -> int:
+    return mask_of(r.W)
 
 
 def is_closed_labeling_ref(G: Graph) -> bool:
@@ -334,25 +360,19 @@ def components_ref(G: Graph, removed=()) -> tuple[tuple[int, ...], ...]:
     return tuple(parts)
 
 
-def _from_masks(n_vertices: int, masks) -> SimplicialComplex:
-    return SimplicialComplex(
-        n_vertices, frozenset(frozenset(b + 1 for b in bits(m)) for m in masks)
-    )
-
-
 def link(C: SimplicialComplex, face) -> SimplicialComplex:
     """link(sigma) = {tau : tau disjoint from sigma, tau union sigma a face}."""
     sigma = mask_of(face)
     if not any(sigma & f == sigma for f in C.mask_key):
         raise ValueError(f"{sorted(face)} is not a face of the complex")
     masks = [f & ~sigma for f in C.mask_key if f & sigma == sigma]
-    return _from_masks(C.n_vertices, _prune_to_maximal(masks))
+    return SimplicialComplex(C.n_vertices, _prune_to_maximal(masks))
 
 
 def induced_subcomplex(C: SimplicialComplex, vertices) -> SimplicialComplex:
     """Faces of C contained in the given vertex set (same universe)."""
     sigma = mask_of(vertices)
-    return _from_masks(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
+    return SimplicialComplex(C.n_vertices, _prune_to_maximal(f & sigma for f in C.mask_key))
 
 
 def is_cm_reisner_ref(C: SimplicialComplex) -> bool:
@@ -518,7 +538,7 @@ def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
     if not -1 <= i <= C.dim:
         raise ValueError(f"skeleton dimension {i} outside -1..{C.dim}")
     if i == -1:
-        return SimplicialComplex(C.n_vertices, frozenset({frozenset()}))
+        return SimplicialComplex(C.n_vertices, frozenset({0}))
     faces: set[int] = set()
     for fm in C.mask_key:
         vs = list(bits(fm))
@@ -528,7 +548,7 @@ def pure_skeleton(C: SimplicialComplex, i: int) -> SimplicialComplex:
                 for b in combo:
                     m |= 1 << b
                 faces.add(m)
-    return _from_masks(C.n_vertices, faces)
+    return SimplicialComplex(C.n_vertices, frozenset(faces))
 
 
 def wsize_chain_check(F: IntervalFacets) -> bool:

@@ -34,6 +34,7 @@ from conftest import (
     SEVEN_NOT_ALMOST,
     SEVEN_NOT_SCM,
     boundary_matrices,
+    num_edges,
     vertex_connectivity_ref,
     wsize_chain_check,
 )
@@ -214,7 +215,7 @@ def test_criterion_8_connectivity_bounds_depth(oracle_sweep_n8):
     checked = tight = 0
     for F, _, rep in oracle_sweep_n8:
         G = build_graph(F)
-        if G.num_edges() == F.n * (F.n - 1) // 2:
+        if num_edges(G) == F.n * (F.n - 1) // 2:
             continue
         bound = F.n - vertex_connectivity_ref(G) + 2
         assert rep.depth <= bound, (F.facets, rep.depth, bound)

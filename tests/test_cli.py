@@ -20,9 +20,9 @@ from edgeideals.cli import (
 from edgeideals.closed import IntervalFacets, build_graph, format_facet_text
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import GraphInputError
-from edgeideals.graphs import format_edge_list, from_edge_list
+from edgeideals.graphs import from_edge_list
 
-from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, path_graph, relabel
+from conftest import NINE_SCM, SEVEN_NOT_SCM, claw, format_edge_list, path_graph, relabel
 
 SEVEN_EDGE_TEXT = b"""7
 1 2

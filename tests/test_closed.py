@@ -40,8 +40,10 @@ from conftest import (
     component_order_ref,
     disconnected_facets,
     flatten_pieces,
+    has_edge,
     interval_facets_ref,
     lbfs_ref,
+    num_edges,
     path_graph,
     recognize_component_ref,
     relabel,
@@ -138,7 +140,7 @@ def test_interval_facets_witness():
         interval_facets(G)
     assert exc.value.witness is not None
     present, missing = exc.value.witness
-    assert G.has_edge(*present) and not G.has_edge(*missing)
+    assert has_edge(G, *present) and not has_edge(G, *missing)
 
 
 def test_connected_cutsets_examples():
@@ -180,7 +182,7 @@ def test_roundtrip_rebuild():
     for F in enumerate_closed_connected(7):
         G = build_graph(F)
         lab, got = recognize_closed(G)  # raises internally if roundtrip breaks
-        assert build_graph(got).num_edges() == G.num_edges()
+        assert num_edges(build_graph(got)) == num_edges(G)
 
 
 def test_facet_text_roundtrip():
@@ -196,7 +198,7 @@ def test_facet_text_roundtrip():
 def test_facet_text_bounds_n_before_building():
     # n is checked in the parser, before any work on the facets
     F = parse_facet_text("closed 64 1\n1 64\n")
-    assert build_graph(F).num_edges() == 64 * 63 // 2
+    assert num_edges(build_graph(F)) == 64 * 63 // 2
     for n in (65, 100000):
         with pytest.raises(GraphInputError, match=f"^vertex count {n} outside 1..64$"):
             parse_facet_text(f"closed {n} 1\n1 {n}\n")

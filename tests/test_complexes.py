@@ -20,7 +20,7 @@ from edgeideals.complexes import (
     is_scm_duval,
 )
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import from_edge_list, mask_of, maximal_cliques
+from edgeideals.graphs import from_edge_list, mask_of
 from edgeideals.oracle import goodarzi_check
 
 from conftest import (
@@ -31,13 +31,14 @@ from conftest import (
     is_scm_duval_ref,
     link,
     links_acyclic_ref,
+    maximal_cliques,
     maximal_masks_ref,
     pure_skeleton,
 )
 
 
 def cx(n, *facets):
-    return SimplicialComplex(n, frozenset(frozenset(f) for f in facets))
+    return SimplicialComplex(n, frozenset(map(mask_of, facets)))
 
 
 def simplex_boundary(k):
@@ -197,7 +198,7 @@ def dominated_complexes(draw):
         n += 1
         for f in draw(st.lists(st.sampled_from(through), min_size=1)):
             f.add(n)
-    return SimplicialComplex(n, frozenset(frozenset(f) for f in facets))
+    return SimplicialComplex(n, frozenset(map(mask_of, facets)))
 
 
 def _with_small_cases(test):
@@ -218,6 +219,15 @@ def _with_small_cases(test):
 @given(mixed_complexes())
 def test_duval_link_form_matches_pure_skeleton_reference(C):
     assert is_scm_duval(C) == is_scm_duval_ref(C)
+
+
+@settings(max_examples=200, deadline=None)
+@_with_small_cases
+@given(mixed_complexes(block=4, max_pieces=2))
+def test_goodarzi_matches_duval(C):
+    # both criteria walk the same facet truncations, each with its own homology
+    depth = depth_hochster(C)
+    assert goodarzi_check(C) == goodarzi_check(C, depth_of_complex=depth) == is_scm_duval(C)
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,6 +267,49 @@ def test_links_acyclic_matches_reference_and_is_monotone(C):
 @given(st.lists(st.integers(0, 255), max_size=12))
 def test_prune_to_maximal_matches_brute_force(masks):
     assert _prune_to_maximal(iter(masks)) == maximal_masks_ref(masks)
+
+
+@st.composite
+def face_families(draw, max_n=6):
+    """A vertex count and a list of faces on it: repeated faces, faces inside
+    other faces, the empty face, and vertices that lie in no face."""
+    n = draw(st.integers(1, max_n))
+    faces = draw(st.lists(st.sets(st.integers(1, n)), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if faces else 0):
+        f = sorted(draw(st.sampled_from(faces)))
+        faces.append(set(draw(st.lists(st.sampled_from(f), unique=True))) if f else set())
+    faces = [tuple(draw(st.permutations(sorted(f)))) for f in faces]
+    return n + draw(st.integers(0, 2)), faces
+
+
+@settings(max_examples=300, deadline=None)
+@example((3, []), random.Random(0))
+@example((3, [()]), random.Random(0))
+@example((4, [(2, 1), (1, 2), (1,), (), (3,)]), random.Random(0))
+@given(face_families(), st.randoms(use_true_random=False))
+def test_from_faces_keeps_the_maximal_faces_in_any_order(family, rng):
+    n, faces = family
+    C = SimplicialComplex.from_faces(n, faces)
+    assert C.mask_key == maximal_masks_ref(map(mask_of, faces))
+    assert SimplicialComplex.from_faces(n, C.facets) == C
+    shuffled = rng.sample(faces, len(faces))
+    D = SimplicialComplex.from_faces(n, shuffled)
+    assert D == C and hash(D) == hash(C)
+
+
+def test_constructor_refuses_what_is_not_a_facet_mask_family():
+    assert SimplicialComplex(3, frozenset({0b011, 0b110})).facets == {
+        frozenset({1, 2}), frozenset({2, 3})}
+    with pytest.raises(ValueError, match="pairwise incomparable"):
+        SimplicialComplex(3, frozenset({0b011, 0b001}))
+    with pytest.raises(ValueError, match="pairwise incomparable"):
+        SimplicialComplex(3, frozenset({0b000, 0b100}))  # {emptyset} lies in every face
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        SimplicialComplex(3, frozenset({0b1000}))
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        SimplicialComplex(3, frozenset({-2, 0b001}))  # -2 has every bit but bit 0
+    with pytest.raises(TypeError, match="from_faces"):
+        SimplicialComplex(3, frozenset({frozenset({1, 2})}))
 
 
 def test_euler_check_catches_a_corrupted_core(monkeypatch):

@@ -9,10 +9,8 @@ from edgeideals.graphs import (
     Graph,
     clique_degree,
     component_masks,
-    format_edge_list,
     from_edge_list,
     mask_of,
-    maximal_cliques,
     parse_edge_list,
     permute_masks,
     vertices_of,
@@ -22,6 +20,10 @@ from conftest import (
     all_graphs,
     complete_graph,
     components_ref,
+    format_edge_list,
+    has_edge,
+    maximal_cliques,
+    num_edges,
     parse_edge_list_ref,
     path_graph,
     permute_masks_ref,
@@ -32,13 +34,13 @@ from edgeideals.enumerators import enumerate_closed_connected
 
 def test_triangle_construction():
     G = from_edge_list(3, [(1, 2), (2, 3), (1, 3)])
-    assert G.num_edges() == 3
-    assert G.has_edge(1, 3) and G.has_edge(3, 1)
+    assert num_edges(G) == 3
+    assert has_edge(G, 1, 3) and has_edge(G, 3, 1)
 
 
 def test_dedup_and_validation():
     G = from_edge_list(3, [(1, 2), (2, 1), (1, 2)])
-    assert G.num_edges() == 1
+    assert num_edges(G) == 1
     with pytest.raises(GraphInputError):
         from_edge_list(3, [(1, 4)])
     with pytest.raises(GraphInputError):
@@ -49,13 +51,13 @@ def test_dedup_and_validation():
 
 def test_seven_vertex_example_edges(seven_graph):
     # union of the interval cliques [1,3],[2,5],[3,6],[5,7]
-    assert seven_graph.num_edges() == 13
-    assert seven_graph.has_edge(2, 5) and not seven_graph.has_edge(1, 4)
+    assert num_edges(seven_graph) == 13
+    assert has_edge(seven_graph, 2, 5) and not has_edge(seven_graph, 1, 4)
 
 
 def test_empty_edge_set():
     G = from_edge_list(2, [])
-    assert G.num_edges() == 0
+    assert num_edges(G) == 0
     assert component_masks(G) == [0b01, 0b10]
 
 

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from edgeideals.cli import EXIT_MISMATCH, EXIT_OK, RunConfig, run
 from edgeideals.closed import IntervalFacets, format_facet_text, parse_facet_text
-from edgeideals.graphs import format_edge_list, from_edge_list, parse_edge_list
+from edgeideals.graphs import from_edge_list, parse_edge_list
+
+from conftest import format_edge_list
 
 
 @st.composite
