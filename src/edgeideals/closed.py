@@ -369,7 +369,8 @@ def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
 def connected_cutsets(F: IntervalFacets) -> tuple[tuple[int, int], ...]:
     """W_i = F_i intersect F_{i+1} = [a_{i+1}, b_i], for i = 1..r-1."""
     if not F.is_connected:
-        raise ValueError("facets describe a disconnected graph; split components first")
+        raise ValueError("facets describe a disconnected graph: "
+                         "consecutive facets must share a vertex")
     if F.r < 2:
         raise ValueError("need at least two facets")
     return tuple((a2, b1) for (_, b1), (a2, _) in zip(F.facets, F.facets[1:]))

@@ -43,13 +43,15 @@ Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
 (Gasharov-Peeva-Welker 1999).  Every other vertex subset restricts to a
 cone and contributes nothing.  The minimal nonfaces are the minimal
-transversals of the facet complements (Berge's algorithm); one pass over
-the subsets of their vertices tables which subsets are such unions, and
-the sweep visits those by descending size, stopping as soon as smaller
-subsets cannot beat the best contribution found.  A restriction is the
-join of its restrictions to the connected components of the 2-section
-graph of the minimal nonfaces inside the subset, so the sweep computes
-homology per component, with memoization, and adds the degrees.
+transversals of the facet complements (Berge's algorithm); their unions
+are closed up one nonface at a time, and the sweep visits them by
+descending size, stopping as soon as smaller subsets cannot beat the best
+contribution found.  A restriction is the join of its restrictions to the
+connected components of the 2-section graph of the minimal nonfaces inside
+the subset, so the sweep computes homology per component, with
+memoization, and adds the degrees.  The components are flooded through
+the same `graphs.union_table` and `graphs.components` that the exhaustive
+cut-set sweep uses.
 
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `facet_truncations` walks
@@ -60,16 +62,15 @@ independent code paths.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
-from .graphs import bits, mask_of, union_of, vertices_of
+from .graphs import bits, components, mask_of, permute_masks, union_of, union_table, vertices_of
 from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
 DEFAULT_VAR_CAP = 18
-MAX_VAR_CAP = 32  # the depth sweep's tables hold one bit per variable
+MAX_VAR_CAP = 32  # the depth sweep's table holds one bit per variable
 
 
 def _prune_to_maximal(masks) -> frozenset[int]:
@@ -407,9 +408,9 @@ def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
 
 
 def check_var_cap(numvars: int, max_vars: int) -> None:
-    """The depth sweep's variable cap: its tables have up to 2^numvars
-    entries, each a 32-bit mask with one bit per variable, so no cap above
-    32 is accepted."""
+    """The depth sweep's variable cap: its `union_table` has up to
+    2^numvars entries, each a 32-bit mask with one bit per variable, so no
+    cap above 32 is accepted."""
     if max_vars > MAX_VAR_CAP:
         raise ValueError(f"variable cap {max_vars} exceeds the depth sweep's limit of {MAX_VAR_CAP}")
     if numvars > max_vars:
@@ -433,15 +434,15 @@ def depth_hochster(
 
     Only unions of minimal nonfaces can contribute (any other sigma has a
     cone point), so the sweep runs over those, in local coordinates on the
-    vertices of the minimal nonfaces.  One ascending pass fills, block by
-    block of masks with the same highest vertex, nb (the neighbourhood
-    union in the 2-section graph of the minimal nonfaces) and cov (the
-    union of the minimal nonfaces inside the mask); sigma is swept when
-    cov[sigma] == sigma.  The restriction to sigma is the join of its
-    restrictions to the components of that graph inside sigma, flooded one
-    nb lookup per step, so it contributes |sigma| - sum(d_j + 1) with d_j
-    the lowest nonzero degree of component j, memoised per component.  The
-    2^m tables are allocated only after the variable cap is checked.
+    vertices of the minimal nonfaces: the lattice starts as {0} and takes
+    in s | nf for each nonface nf, and each size is swept in ascending
+    mask order.  The restriction to sigma is the join of its restrictions
+    to the components of the 2-section graph of the minimal nonfaces inside
+    sigma, flooded through nb (the `union_table` of that graph), so it
+    contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
+    of component j, memoised per component.  The table, 2^m entries for
+    the m vertices of the minimal nonfaces, and the lattice are built only
+    after the variable cap is checked.
     """
     numvars = C.n_vertices
     check_var_cap(numvars, max_vars)
@@ -451,64 +452,32 @@ def depth_hochster(
     facet_masks = sorted(C.mask_key)
     nonfaces = _minimal_nonfaces(facet_masks)
     verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
-    local = {b: 1 << k for k, b in enumerate(verts)}
-    m = len(verts)
-    adj = [0] * m  # 2-section graph of the minimal nonfaces
-    pair_below = [0] * m  # pair nonfaces by top vertex: the other vertex
-    larger_below: list[list[int]] = [[] for _ in range(m)]  # the rest of larger ones
-    for nf in nonfaces:
-        loc = 0
-        for b in bits(nf):
-            loc |= local[b]
-        for k in bits(loc):
-            adj[k] |= loc ^ (1 << k)
-        k = loc.bit_length() - 1
-        below = loc ^ (1 << k)
-        if below.bit_count() == 1:
-            pair_below[k] |= below
-        else:
-            larger_below[k].append(below)
-
-    nb = array("I", [0]) * (1 << m)
-    cov = array("I", [0]) * (1 << m)
-    lattice: list[list[int]] = [[] for _ in range(m + 1)]  # by size
-    for k in range(m):
-        top = 1 << k
-        a, pairs, larger = adj[k], pair_below[k], larger_below[k]
-        for s in range(top, top << 1):
-            t = s ^ top
-            nb[s] = nb[t] | a
-            c = cov[t]
-            if pairs & t:
-                c |= pairs & t | top
-            for below in larger:
-                if below & t == below:
-                    c |= below | top
-            cov[s] = c
-            if c == s:
-                lattice[s.bit_count()].append(s)
+    target = [None] * (numvars + 1)
+    for k, b in enumerate(verts):
+        target[b + 1] = k
+    adj = [0] * len(verts)  # 2-section graph of the minimal nonfaces
+    lattice = {0}
+    for nf in permute_masks(nonfaces, target):
+        for k in bits(nf):
+            adj[k] |= nf ^ (1 << k)
+        lattice.update([s | nf for s in lattice])
+    nb = union_table(adj)
+    by_size: list[list[int]] = [[] for _ in range(len(verts) + 1)]
+    for s in sorted(lattice):
+        by_size[s.bit_count()].append(s)
 
     dmin_memo: dict[int, int | None] = {}
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-    for size in range(m, 0, -1):
+    for size in range(len(verts), 0, -1):
         if best_pd >= size - 1:
             break
-        for sigma in lattice[size]:
+        for sigma in by_size[size]:
             cand = size
-            rest = sigma
-            while rest:
-                cc = rest & -rest
-                grown = nb[cc] & sigma | cc
-                while grown != cc:
-                    cc = grown
-                    grown = nb[cc] & sigma | cc
-                rest ^= cc
+            for cc in components(nb, sigma):
                 if cc in dmin_memo:
                     d = dmin_memo[cc]
                 else:
-                    part = 0
-                    for k in bits(cc):
-                        part |= 1 << verts[k]
+                    part = union_of(1 << verts[k] for k in bits(cc))
                     d = dmin_memo[cc] = _dmin_of_restriction(facet_masks, part, max_faces)
                 if d is None:
                     break

@@ -18,24 +18,23 @@ The exhaustive sweep rests on one lemma: putting back a simplicial vertex
 (its neighbourhood is a clique) joins at most one component of G minus W,
 so it lies in no cut set.  The sweep visits only the subsets of the other
 vertices and tests each w of W as: N(w) minus W meets two components of G
-minus W.  Its one table holds the neighbourhood union of each vertex mask
-(4 MB at the n = 20 cap).  The CLI `cutsets` command runs it on any graph;
-it shares no code with the structural enumerator.
+minus W.  Its one table, `graphs.union_table` of the adjacency, holds the
+neighbourhood union of each vertex mask (4 MB at the n = 20 cap), and
+`graphs.components` floods the parts of each record through it.  The CLI
+`cutsets` command runs it on any graph; it shares no code with the
+structural enumerator.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
 from .closed import IntervalFacets, connected_cutsets
 from .errors import ResourceCapError
-from .graphs import Graph, simplicial_mask, vertices_of
+from .graphs import Graph, components, simplicial_mask, union_table, vertices_of
 
 BRUTE_FORCE_CAP = 20  # 2^n subset sweep
-_FILL_CHUNK = 1 << 12  # words per slice of the neighbourhood table fill
 
 
 @dataclass(frozen=True)
@@ -55,35 +54,9 @@ class CutSetRecord:
         return (len(self.W), self.W)
 
 
-def _neighbourhood_table(G: Graph) -> array:
-    """nb[m] = union of adj over m, filled in place: the masks whose highest
-    vertex is v are [2^(v-1), 2^v), and nb[m] = nb[m minus v] | adj[v], one
-    slice of up to _FILL_CHUNK words at a time, ORed as a single integer."""
-    nb = array("I" if G.n <= 32 else "Q", [0]) * (G.full_mask + 1)
-    width = nb.itemsize
-    with memoryview(nb) as words, words.cast("B") as raw:
-        for v in range(1, G.n + 1):
-            top = (1 << (v - 1)) * width  # byte offsets from here on
-            step = min(top, _FILL_CHUNK * width)
-            spread = G.adj[v] * (((1 << 8 * step) - 1) // ((1 << 8 * width) - 1))
-            for lo in range(0, top, step):  # spread holds adj[v] in every word of a slice
-                block = int.from_bytes(raw[lo : lo + step], sys.byteorder) | spread
-                raw[top + lo : top + lo + step] = block.to_bytes(step, sys.byteorder)
-    return nb
-
-
-def _record(G: Graph, nb: array, wmask: int) -> CutSetRecord:
+def _record(G: Graph, nb, wmask: int) -> CutSetRecord:
     """Record of W = wmask, its components flooded through the nb table."""
-    rest = G.full_mask ^ wmask
-    parts = []
-    while rest:  # components come out sorted by their smallest vertex
-        cc = rest & -rest
-        grown = nb[cc] & rest | cc
-        while grown != cc:
-            cc = grown
-            grown = nb[cc] & rest | cc
-        parts.append(vertices_of(cc))
-        rest ^= cc
+    parts = [vertices_of(cc) for cc in components(nb, G.full_mask ^ wmask)]
     c = len(parts)
     return CutSetRecord(vertices_of(wmask), c, G.n - wmask.bit_count() + c, tuple(parts))
 
@@ -93,7 +66,7 @@ def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
     if G.n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {BRUTE_FORCE_CAP} "
                                f"(got n = {G.n}); use the structural enumerator for closed graphs")
-    nb = _neighbourhood_table(G)
+    nb = union_table(G.adj[1:])
     full = G.full_mask
     cand = full & ~simplicial_mask(G)
     records = [_record(G, nb, 0)]
@@ -133,8 +106,8 @@ def cutsets_structural(F: IntervalFacets) -> tuple[CutSetRecord, ...]:
     surviving vertices.
     """
     if not F.is_connected:
-        raise ValueError("structural enumeration needs a connected facet sequence; "
-                         "split components first")
+        raise ValueError("structural enumeration needs a connected facet sequence: "
+                         "consecutive facets must share a vertex")
     n = F.n
     records = [CutSetRecord((), 1, n + 1, (tuple(range(1, n + 1)),))]
     if F.r == 1:

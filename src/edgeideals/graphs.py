@@ -11,6 +11,8 @@ All public interfaces speak 1-based vertex labels.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
@@ -20,6 +22,7 @@ from typing import NoReturn
 from .errors import GraphInputError
 
 MAX_VERTICES = 64
+_FILL_CHUNK = 1 << 12  # words per slice of the union_table fill
 
 
 def bits(mask: int):
@@ -140,6 +143,52 @@ def component_masks(G: Graph) -> list[int]:
         comps.append(comp)
         seen |= comp
     return comps
+
+
+def union_table(masks) -> array:
+    """t[s] = OR of masks[k] over the bits k of s, for every s < 2^len(masks).
+
+    Filled in place: the entries whose highest bit is k are [2^k, 2^(k+1)),
+    and t[s] = t[s minus bit k] | masks[k], one slice of up to _FILL_CHUNK
+    words at a time, ORed as a single integer.  The entries are 32-bit
+    words, so at most 32 masks are accepted, each with no bit at or above
+    len(masks): a wider mask would carry into the next word.  Both are
+    checked before the table is allocated.
+    """
+    masks = list(masks)
+    m = len(masks)
+    if m > 32:
+        raise ValueError(f"union table over {m} masks; at most 32 fit its 32-bit words")
+    if any(x >> m for x in masks):
+        raise ValueError(f"union table mask outside bits 0..{m - 1}")
+    t = array("I", [0]) * (1 << m)
+    width = t.itemsize
+    with memoryview(t) as words, words.cast("B") as raw:
+        for k, x in enumerate(masks):
+            top = (1 << k) * width  # byte offsets from here on
+            step = min(top, _FILL_CHUNK * width)
+            spread = x * (((1 << 8 * step) - 1) // ((1 << 8 * width) - 1))
+            for lo in range(0, top, step):  # spread holds x in every word of a slice
+                block = int.from_bytes(raw[lo : lo + step], sys.byteorder) | spread
+                raw[top + lo : top + lo + step] = block.to_bytes(step, sys.byteorder)
+    return t
+
+
+def components(table, within: int):
+    """Yield the components of the vertex set `within`, lowest bit first.
+
+    table[s] is the neighbourhood union of s (a `union_table` of the
+    adjacency); each component is flooded from its lowest bit, one table
+    lookup per step.
+    """
+    while within:
+        cc = within & -within
+        grown = table[cc] & within | cc
+        while grown != cc:
+            cc = grown
+            grown = table[cc] & within | cc
+        yield cc
+        within ^= cc
 
 
 def _bron_kerbosch(adj: tuple[int, ...], R: int, P: int, X: int, out: list[int]):

@@ -303,6 +303,16 @@ def recognize_component_ref(G: Graph, comp: int):
     return tuple(perm), fwd
 
 @st.composite
+def random_graphs(draw):
+    """Graphs on up to 10 vertices; sparse draws leave isolated vertices and
+    several components."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
 def disconnected_facets(draw, max_pieces: int = 5) -> IntervalFacets:
     """Facets of a disjoint union of 2..max_pieces connected closed graphs.
 

@@ -359,6 +359,11 @@ def test_minimal_nonfaces_match_definition(C):
 @example(cx(7, (1, 2, 7), (3, 4, 7), (5, 6, 7)))  # cone over three edges
 @example(cx(6, (1, 2, 3), (4, 5, 6)))            # disjoint triangles
 @example(cx(7, (1, 2, 3), (2, 3, 4), (4, 5), (6,)))
+# nonfaces 123, 14, 24 (one of size 3 among pairs): depth 2, and depth 1
+# with an isolated vertex 5 and a ghost 6
+@example(cx(4, (1, 2), (2, 3), (1, 3), (3, 4)))
+@example(cx(6, (1, 2), (2, 3), (1, 3), (3, 4), (5,)))
+@example(simplex_boundary(3))                    # one nonface, of size 4
 @given(_depth_cases)
 def test_depth_matches_all_subsets_reference(C):
     assert depth_hochster(C) == depth_hochster_ref(C)

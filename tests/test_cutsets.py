@@ -1,14 +1,11 @@
-import random
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.cutsets import (
     CutSetRecord,
-    _neighbourhood_table,
     cutsets_bruteforce,
     cutsets_structural,
     filtration_components,
@@ -17,7 +14,7 @@ from edgeideals.cutsets import (
 )
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import Graph, bits, from_edge_list, mask_of, simplicial_mask
+from edgeideals.graphs import Graph, from_edge_list, mask_of, simplicial_mask
 
 from conftest import (
     SEVEN_NOT_SCM,
@@ -27,6 +24,7 @@ from conftest import (
     cutset_mask,
     has_edge,
     path_graph,
+    random_graphs,
 )
 
 
@@ -151,13 +149,6 @@ def test_record_sorting_is_canonical(seven_graph):
 # Literal references for the exhaustive sweep: the components of every G - W
 # are counted from scratch by components_ref.
 
-def neighbourhood_ref(G, m):
-    out = 0
-    for b in bits(m):
-        out |= G.adj[b + 1]
-    return out
-
-
 def cutsets_ref(G):
     """{W: (c, dim, parts)} by the removal test, read off the definition."""
     memo = {}
@@ -192,30 +183,6 @@ def test_simplicial_mask_matches_definition():
                     want.append(v)
             assert simplicial_mask(G) == mask_of(want), G.edges()
     assert simplicial_mask(Graph(0, (0,))) == 0
-
-
-def test_neighbourhood_table_matches_reference():
-    # every graph with n <= 4, and a G(15, 0.3) whose top blocks are filled
-    # in several slices
-    rng = random.Random(15)
-    pairs = [(i, j) for i in range(1, 16) for j in range(i + 1, 16)]
-    graphs = [G for n in range(1, 5) for G in all_graphs(n)]
-    graphs.append(from_edge_list(15, [e for e in pairs if rng.random() < 0.3]))
-    for G in graphs:
-        nb = _neighbourhood_table(G)
-        assert nb.typecode == "I" and len(nb) == 1 << G.n
-        for m in range(1 << G.n):
-            assert nb[m] == neighbourhood_ref(G, m), (G.edges(), m)
-
-
-@st.composite
-def random_graphs(draw):
-    """Graphs on up to 10 vertices; sparse draws leave isolated vertices and
-    several components."""
-    n = draw(st.integers(1, 10))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return from_edge_list(n, [e for e, k in zip(pairs, keep) if k])
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,18 +1,23 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import edgeideals.graphs as graphs_mod
 from edgeideals.errors import GraphInputError
 from edgeideals.graphs import (
     Graph,
+    bits,
     clique_degree,
     component_masks,
+    components,
     from_edge_list,
     mask_of,
     parse_edge_list,
     permute_masks,
+    union_table,
     vertices_of,
 )
 
@@ -27,6 +32,7 @@ from conftest import (
     parse_edge_list_ref,
     path_graph,
     permute_masks_ref,
+    random_graphs,
 )
 from edgeideals.closed import build_graph
 from edgeideals.enumerators import enumerate_closed_connected
@@ -260,3 +266,59 @@ def test_permute_masks_full_word_and_ragged_tail():
         shift = [None] + [64 - n + v - 1 for v in range(1, n + 1)]  # to the top of the word
         assert permute_masks([full], shift) == [full << (64 - n)]
 
+
+def neighbourhood_ref(G, m):
+    out = 0
+    for b in bits(m):
+        out |= G.adj[b + 1]
+    return out
+
+
+def test_union_table_matches_reference():
+    # every graph with n <= 4, and a G(15, 0.3) whose top blocks are filled
+    # in several slices
+    rng = random.Random(15)
+    graphs = [G for n in range(1, 5) for G in all_graphs(n)]
+    graphs.append(_random_graph(15, rng, 0.3))
+    for G in graphs:
+        nb = union_table(G.adj[1:])
+        assert nb.typecode == "I" and len(nb) == 1 << G.n
+        for m in range(1 << G.n):
+            assert nb[m] == neighbourhood_ref(G, m), (G.edges(), m)
+    assert union_table([]) == array("I", [0])
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_union_table_refuses_before_allocating(monkeypatch):
+    # a mask at or above bit len(masks), or more masks than a 32-bit word
+    # has bits, would make the fill carry into the next entry
+    def refuse(*args):
+        raise Allocated
+
+    monkeypatch.setattr(graphs_mod, "array", refuse)
+    for masks in ([0] * 33, [0b100, 0b001], [1 << 32] + [0] * 31, [-1]):
+        with pytest.raises(ValueError):
+            union_table(masks)
+    with pytest.raises(Allocated):  # 32 masks within bits 0..31 pass the guard
+        union_table([1 << 31] + [0] * 31)
+
+
+# a graph and a vertex mask inside it
+graphs_and_masks = random_graphs().flatmap(
+    lambda G: st.tuples(st.just(G), st.integers(0, G.full_mask)))
+
+
+@settings(max_examples=200, deadline=None)
+@example((path_graph(5), 0))
+@example((path_graph(5), 0b11011))
+@example((from_edge_list(6, []), 0b101101))  # isolated vertices only
+@example((from_edge_list(7, [(1, 2), (2, 3), (5, 6)]), 0b1111111))
+@given(graphs_and_masks)
+def test_components_match_reference(case):
+    G, within = case
+    got = tuple(vertices_of(cc) for cc in components(union_table(G.adj[1:]), within))
+    removed = [v for v in range(1, G.n + 1) if not within >> (v - 1) & 1]
+    assert got == components_ref(G, removed)

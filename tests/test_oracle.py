@@ -7,11 +7,11 @@ import pytest
 
 import edgeideals
 from edgeideals.classify import classify_facets
-from edgeideals.closed import IntervalFacets
+from edgeideals.closed import IntervalFacets, reverse_facets
 from edgeideals.complexes import SimplicialComplex, depth_hochster, is_cm_reisner, is_scm_duval
 from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import NotClosedError, ResourceCapError
-from edgeideals.graphs import from_edge_list
+from edgeideals.graphs import from_edge_list, permute_masks
 from edgeideals.oracle import (
     goodarzi_check,
     initial_ideal_generators,
@@ -74,6 +74,18 @@ def test_depth_matches_reference_on_every_truncation_n6():
                 if sub.mask_key not in seen:
                     seen.add(sub.mask_key)
                     assert depth_hochster(sub) == depth_hochster_ref(sub), (F.facets, i)
+
+
+def test_reversal_maps_oracle_complexes():
+    # x_k <-> y_{n+1-k}, i.e. vertex v -> 2n + 1 - v of the 2n, maps the
+    # Stanley-Reisner complex of F onto that of rev F, so the two share
+    # one oracle report: the n <= 8 acceptance sweep runs the oracle once
+    # per orbit {F, rev F} on the strength of this check
+    for n in range(1, 9):
+        swap = [None] + [2 * n - v for v in range(1, 2 * n + 1)]
+        for F in enumerate_closed_connected(n):
+            got = frozenset(permute_masks(oracle_complex(F).mask_key, swap))
+            assert got == oracle_complex(reverse_facets(F)).mask_key, F.facets
 
 
 def test_depth_golden_values():
@@ -220,7 +232,7 @@ def test_report_invariants_hold_under_python_O():
         import sys
         from edgeideals.oracle import OracleReport
         from edgeideals.classify import classify_facets
-        from edgeideals.closed import IntervalFacets
+        from edgeideals.closed import IntervalFacets, reverse_facets
         import dataclasses
         assert False, "this line is stripped under -O"
         try:
