@@ -55,8 +55,10 @@ class IntervalFacets:
     facets: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "facets", tuple((int(a), int(b)) for a, b in self.facets))
+        object.__setattr__(self, "facets", tuple((a, b) for a, b in self.facets))
         f = self.facets
+        if not isinstance(self.n, int) or not all(isinstance(x, int) for pair in f for x in pair):
+            raise TypeError(f"n and the facet endpoints must be ints: n={self.n!r}, facets={f!r}")
         if self.n < 1 or not f:
             raise ValueError("need n >= 1 and at least one facet")
         if f[0][0] != 1 or f[-1][1] != self.n:

@@ -14,13 +14,16 @@ are huge but overwhelmingly contractible:
   * skip pieces with a cone point (a vertex lying in every facet),
   * strong collapses on the facet list (delete a vertex whose facets all
     share another vertex, prune to maximal facets, repeat; Barmak-Minian
-    2012).  A piece that collapses to a cone is contractible; otherwise
-    only the faces of the core reach the boundary matrices.
+    2012).  A piece that collapses to a cone is contractible.
 
-Every matrix-path computation asserts the Euler identity: the alternating
-sum of the computed Betti numbers must equal the reduced Euler
-characteristic of the face vector of the piece *before* the collapses,
-which catches reduction bugs at the source.
+A core left without a cone point is then tested for the shape of a join
+of complete skeleta (all k_i-subsets of disjoint vertex classes V_i, read
+off the minimal nonfaces), whose homology Kuenneth gives without a
+matrix; only the faces of the other cores reach the boundary matrices.
+Every piece that is not a cone, whichever way its core was read, asserts
+the Euler identity: the alternating sum of the computed Betti numbers must
+equal the reduced Euler characteristic of the face vector of the piece
+*before* the collapses, which catches reduction bugs at the source.
 
 Conventions: the complex {emptyset} has reduced homology Q in degree -1;
 the void complex (no faces at all) has none anywhere.  Vertices of a
@@ -31,7 +34,9 @@ Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
 every face sigma of K (the empty face included) has a link with no reduced
 homology below degree t - |sigma|.  It checks K itself, then recurses on
 the vertex links with t - 1; at t = 1 the vertex links reduce to "no
-vertex is a facet on its own", so none is built.  Reisner is the case
+vertex is a facet on its own", so none is built.  A cone simplex(A) * B
+asks nothing of its own: every face not containing A has a cone as its
+link, so the check passes straight to B at t - |A|.  Reisner is the case
 "pure, t = dim".  Duval's sequential CM criterion (every pure i-skeleton
 is CM) is the case t = i on the subcomplex generated by the facets with
 more than i vertices, so the skeletons are never built.  Results are
@@ -51,7 +56,11 @@ connected components of the 2-section graph of the minimal nonfaces inside
 the subset, so the sweep computes homology per component, with
 memoization, and adds the degrees.  The components are flooded through
 the same `graphs.union_table` and `graphs.components` that the exhaustive
-cut-set sweep uses.
+cut-set sweep uses, all of them before any homology: each takes off at
+least 1, so a subset whose size minus its component count cannot beat the
+best contribution is skipped.  `depth_at_least` asks the yes/no question
+"depth >= k" of the same sweep, started from the floor that depth k
+allows and stopped at the first subset above it.
 
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `facet_truncations` walks
@@ -63,6 +72,7 @@ independent code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ResourceCapError
 from .graphs import bits, components, mask_of, permute_masks, union_of, union_table, vertices_of
@@ -161,12 +171,13 @@ def _faces_of(facet_masks, cap: int) -> set[int]:
     return faces
 
 
-def _is_cone(facet_masks) -> bool:
-    """Whether some vertex lies in every one of the (nonempty list of) facets."""
-    acc = ~0
+def _apex(facet_masks) -> int:
+    """Mask of the vertices that lie in every facet (0 when there are no facets);
+    the complex is a cone exactly when it is nonzero."""
+    acc = -1
     for m in facet_masks:
         acc &= m
-    return bool(acc)
+    return max(acc, 0)
 
 
 def _strong_collapse(facet_masks) -> list[int]:
@@ -196,6 +207,65 @@ def _strong_collapse(facet_masks) -> list[int]:
                 ]
                 changed = True
     return facets
+
+
+def _minimal_nonfaces(facet_masks) -> list[int]:
+    """Minimal nonfaces (as masks) of the complex with the given facets.
+
+    A subset of the support is a nonface exactly when it meets the
+    complement of every facet, so the minimal nonfaces are the minimal
+    transversals of the facet complements.  Berge's algorithm adds one
+    complement at a time: a transversal that meets it stays; one that
+    misses it grows by each vertex of the complement, and the grown set is
+    minimal unless it contains a transversal that stayed.  For a flag
+    complex the result is exactly its non-edges.
+    """
+    support = union_of(facet_masks)
+    trans = [0]
+    for f in facet_masks:
+        comp = support & ~f
+        kept = [t for t in trans if t & comp]
+        grown = []
+        for t in trans:
+            if not t & comp:
+                for b in bits(comp):
+                    g = t | 1 << b
+                    if not any(k & g == k for k in kept):
+                        grown.append(g)
+        trans = kept + grown
+    return sorted(trans)
+
+
+def _skeleton_join_profile(core: list[int]) -> dict[int, int] | None:
+    """Reduced Betti numbers of a join of complete skeleta, or None when the
+    (nonempty, cone-free) facet list is not one.
+
+    The vertex classes V_i are the components of the 2-section graph of the
+    minimal nonfaces; without a cone point they cover the support.  When
+    every facet meets V_i in k_i vertices and there are prod C(m_i, k_i)
+    facets (m_i = |V_i|), the facets are all such vertex sets, so the
+    complex is the join of the k_i-subsets of the V_i.  The k-subsets of m
+    vertices have reduced homology Q^C(m-1, k) in degree k - 1 only, and by
+    Kuenneth for joins the join has Q^prod C(m_i - 1, k_i) in degree
+    sum k_i - 1.  The facet count is tested first: it is the cheap rejection.
+    """
+    classes: list[int] = []
+    for nf in _minimal_nonfaces(core):
+        merged = nf
+        for c in classes:
+            if c & nf:
+                merged |= c
+        classes = [c for c in classes if not c & nf] + [merged]
+    ks = [(c & core[0]).bit_count() for c in classes]
+    count = rank = 1
+    for c, k in zip(classes, ks):
+        count *= comb(c.bit_count(), k)
+        rank *= comb(c.bit_count() - 1, k)
+    if count != len(core) or any(
+        (c & f).bit_count() != k for f in core for c, k in zip(classes, ks)
+    ):
+        return None
+    return {sum(ks) - 1: rank} if rank else {}
 
 
 def _boundary_columns(faces_by_dim: dict[int, list[int]], d: int) -> dict[int, dict[int, int]]:
@@ -246,13 +316,18 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 
 def _group_betti(group: list[int], cap: int) -> dict[int, int]:
-    if _is_cone(group):
+    if _apex(group):
         return {}
     faces = _faces_of(group, cap)
     # reduced Euler characteristic of the piece before the collapses
     euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
     core = _strong_collapse(group)
-    betti = {} if _is_cone(core) else _betti_from_faces(_faces_of(core, cap))
+    if _apex(core):
+        betti = {}
+    else:
+        betti = _skeleton_join_profile(core)
+        if betti is None:
+            betti = _betti_from_faces(_faces_of(core, cap))
     euler_betti = sum(b if d % 2 == 0 else -b for d, b in betti.items())
     if euler_faces != euler_betti:
         raise AssertionError(
@@ -307,12 +382,21 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
     The empty face asks this of the complex itself; a vertex link, checked
     with t - 1, asks it of every face through that vertex, because links of
     links are links.  A True answer at t implies one at t - 1.  Memoised
-    on (facets, t, cap) from t = 2 on.
+    on (facets, t, cap) from t = 2 on, for complexes without a cone point.
+
+    A cone K = simplex(A) * B, with A the vertices in every facet and
+    B = {f - A}, asks nothing of its own: a face sigma not containing A has
+    a cone as its link (each facet of it holds a vertex of A - sigma), and
+    for sigma containing A the link is lk_B(sigma - A), asked below
+    t - |sigma|.  So K at t is B at t - |A|.
     """
     if t <= -1:
         return True
     if t == 0:
         return facets_key != frozenset({0})  # only degree -1 is asked for
+    apex = _apex(facets_key)
+    if apex:
+        return _links_acyclic(frozenset(f & ~apex for f in facets_key), t - apex.bit_count(), cap)
     if t == 1:
         # the vertex links are asked for degree -1 only, and a vertex link
         # is {emptyset} exactly when that vertex is a facet on its own
@@ -374,33 +458,6 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
 # -- depth via the projective-dimension sweep -----------------------------------
 
 
-def _minimal_nonfaces(facet_masks) -> list[int]:
-    """Minimal nonfaces (as masks) of the complex with the given facets.
-
-    A subset of the support is a nonface exactly when it meets the
-    complement of every facet, so the minimal nonfaces are the minimal
-    transversals of the facet complements.  Berge's algorithm adds one
-    complement at a time: a transversal that meets it stays; one that
-    misses it grows by each vertex of the complement, and the grown set is
-    minimal unless it contains a transversal that stayed.  For a flag
-    complex the result is exactly its non-edges.
-    """
-    support = union_of(facet_masks)
-    trans = [0]
-    for f in facet_masks:
-        comp = support & ~f
-        kept = [t for t in trans if t & comp]
-        grown = []
-        for t in trans:
-            if not t & comp:
-                for b in bits(comp):
-                    g = t | 1 << b
-                    if not any(k & g == k for k in kept):
-                        grown.append(g)
-        trans = kept + grown
-    return sorted(trans)
-
-
 def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
     """Lowest degree with nonzero reduced homology of C restricted to sigma."""
     nz = _profile_masks(_prune_to_maximal(f & sigma for f in facet_masks), cap)
@@ -415,6 +472,68 @@ def check_var_cap(numvars: int, max_vars: int) -> None:
         raise ValueError(f"variable cap {max_vars} exceeds the depth sweep's limit of {MAX_VAR_CAP}")
     if numvars > max_vars:
         raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
+
+
+def _checked_ghosts(C: SimplicialComplex, max_vars: int) -> int:
+    """Universe vertices in no facet, counted after the variable cap and the
+    void check, so that both come before any table is built."""
+    check_var_cap(C.n_vertices, max_vars)
+    if C.is_void:
+        raise ValueError("void complex corresponds to the unit ideal")
+    return C.n_vertices - C.support_mask().bit_count()
+
+
+def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
+    """Yield each contribution to the projective dimension that beats the
+    best one so far, starting from floor, in the sweep order of
+    `depth_hochster`.  Nothing is yielded when no sigma beats floor;
+    otherwise the last value is the pd of the face ring of C's support.
+
+    Every part of sigma is flooded before any homology is computed: the
+    parts take off d_j + 1 >= 1 each, so sigma with c(sigma) parts is
+    skipped when |sigma| - c(sigma) cannot beat the best so far.
+    """
+    facet_masks = sorted(C.mask_key)
+    nonfaces = _minimal_nonfaces(facet_masks)
+    verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
+    target = [None] * (C.n_vertices + 1)
+    for k, b in enumerate(verts):
+        target[b + 1] = k
+    adj = [0] * len(verts)  # 2-section graph of the minimal nonfaces
+    lattice = {0}
+    for nf in permute_masks(nonfaces, target):
+        for k in bits(nf):
+            adj[k] |= nf ^ (1 << k)
+        lattice.update([s | nf for s in lattice])
+    nb = union_table(adj)
+    by_size: list[list[int]] = [[] for _ in range(len(verts) + 1)]
+    for s in sorted(lattice):
+        by_size[s.bit_count()].append(s)
+
+    dmin_memo: dict[int, int | None] = {}
+    best_pd = floor
+    for size in range(len(verts), 0, -1):
+        if best_pd >= size - 1:
+            return
+        for sigma in by_size[size]:
+            parts = list(components(nb, sigma))
+            cand = size - len(parts)  # the 1 of each d_j + 1 taken off here
+            if cand <= best_pd:
+                continue
+            for cc in parts:
+                if cc in dmin_memo:
+                    d = dmin_memo[cc]
+                else:
+                    part = union_of(1 << verts[k] for k in bits(cc))
+                    d = dmin_memo[cc] = _dmin_of_restriction(facet_masks, part, max_faces)
+                if d is None:
+                    break
+                cand -= d
+                if cand <= best_pd:
+                    break  # the remaining parts only lower it further
+            else:
+                best_pd = cand
+                yield cand
 
 
 def depth_hochster(
@@ -440,50 +559,37 @@ def depth_hochster(
     to the components of the 2-section graph of the minimal nonfaces inside
     sigma, flooded through nb (the `union_table` of that graph), so it
     contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
-    of component j, memoised per component.  The table, 2^m entries for
-    the m vertices of the minimal nonfaces, and the lattice are built only
-    after the variable cap is checked.
+    of component j, memoised per component.  All parts are flooded first,
+    and sigma is skipped without homology when |sigma| - c(sigma), with
+    c(sigma) its number of parts, is at most the best contribution so far
+    (the floor, which starts at 0 for sigma = {}).  The table, 2^m entries
+    for the m vertices of the minimal nonfaces, and the lattice are built
+    only after the variable cap is checked.
     """
-    numvars = C.n_vertices
-    check_var_cap(numvars, max_vars)
-    if C.is_void:
-        raise ValueError("void complex corresponds to the unit ideal")
-    ghosts = numvars - C.support_mask().bit_count()
-    facet_masks = sorted(C.mask_key)
-    nonfaces = _minimal_nonfaces(facet_masks)
-    verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
-    target = [None] * (numvars + 1)
-    for k, b in enumerate(verts):
-        target[b + 1] = k
-    adj = [0] * len(verts)  # 2-section graph of the minimal nonfaces
-    lattice = {0}
-    for nf in permute_masks(nonfaces, target):
-        for k in bits(nf):
-            adj[k] |= nf ^ (1 << k)
-        lattice.update([s | nf for s in lattice])
-    nb = union_table(adj)
-    by_size: list[list[int]] = [[] for _ in range(len(verts) + 1)]
-    for s in sorted(lattice):
-        by_size[s.bit_count()].append(s)
-
-    dmin_memo: dict[int, int | None] = {}
+    ghosts = _checked_ghosts(C, max_vars)
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-    for size in range(len(verts), 0, -1):
-        if best_pd >= size - 1:
-            break
-        for sigma in by_size[size]:
-            cand = size
-            for cc in components(nb, sigma):
-                if cc in dmin_memo:
-                    d = dmin_memo[cc]
-                else:
-                    part = union_of(1 << verts[k] for k in bits(cc))
-                    d = dmin_memo[cc] = _dmin_of_restriction(facet_masks, part, max_faces)
-                if d is None:
-                    break
-                cand -= d + 1
-                if cand <= best_pd:
-                    break  # the remaining parts only lower it further
-            else:
-                best_pd = cand
-    return numvars - (best_pd + ghosts)
+    for best_pd in _pd_records(C, 0, max_faces):
+        pass
+    return C.n_vertices - (best_pd + ghosts)
+
+
+def depth_at_least(
+    C: SimplicialComplex,
+    k: int,
+    *,
+    max_vars: int = DEFAULT_VAR_CAP,
+    max_faces: int = DEFAULT_FACE_CAP,
+) -> bool:
+    """Whether depth_hochster(C) >= k, by the same sweep with a floor.
+
+    depth >= k means that no sigma contributes more than the floor
+    N - k - ghosts, so the sweep starts with that floor as its best
+    contribution: it skips every sigma whose |sigma| - c(sigma) is at most
+    the floor, and the answer is False at the first sigma above it.  A
+    negative floor is False before any table is built (but after the
+    variable cap and the void check).
+    """
+    floor = C.n_vertices - k - _checked_ghosts(C, max_vars)
+    if floor < 0:
+        return False
+    return next(_pd_records(C, floor, max_faces), None) is None

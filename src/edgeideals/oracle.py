@@ -12,10 +12,11 @@ Sequential CM-ness is decided twice, by two independent code paths.
 Duval's criterion runs in link form: for each i, the subcomplex generated
 by the facets with more than i vertices must have no reduced homology in
 any face link below degree i - |face|.  Goodarzi's filtration criterion
-asks the same subcomplexes for depth >= i + 1, computed by the Hochster
+asks the same subcomplexes for depth >= i + 1, decided by the Hochster
 sweep over the unions of minimal nonfaces, which never looks at links.
 Both ask once per distinct facet size, since the subcomplex only changes
-there, and Goodarzi reuses the oracle's depth of the whole complex.
+there; Goodarzi reuses the oracle's depth of the whole complex and asks
+each smaller subcomplex only the yes/no question `depth_at_least`.
 Likewise Reisner's CM verdict (links) is checked against depth == dim
 (Auslander-Buchsbaum).
 
@@ -39,6 +40,7 @@ from .complexes import (
     DEFAULT_VAR_CAP,
     SimplicialComplex,
     check_var_cap,
+    depth_at_least,
     depth_hochster,
     facet_truncations,
     is_cm_reisner,
@@ -128,7 +130,11 @@ def goodarzi_check(
     Each subcomplex of `facet_truncations` costs one depth sweep, and
     depth >= s there covers every i it stands for.  The first one is C
     itself, whose depth the oracle has already computed and passes as
-    depth_of_complex.
+    depth_of_complex.  Every truncation whose depth is not given only asks
+    the yes/no question `depth_at_least(sub, s)`: its sweep starts from the
+    floor numvars - s - ghosts, skips each sigma whose |sigma| minus its
+    number of parts is at most that floor, and stops at the first sigma
+    above it.
     """
     depth = depth_of_complex  # C is the truncation at the smallest facet size
     for s, kept in facet_truncations(C):
@@ -136,8 +142,9 @@ def goodarzi_check(
             continue  # the complex {emptyset}: dim -1 leaves no i to check
         if depth is None:
             sub = SimplicialComplex(C.n_vertices, kept)
-            depth = depth_hochster(sub, max_vars=max_vars, max_faces=max_faces)
-        if depth < s:
+            if not depth_at_least(sub, s, max_vars=max_vars, max_faces=max_faces):
+                return False
+        elif depth < s:
             return False
         depth = None  # every later truncation is a proper subcomplex of C
     return True

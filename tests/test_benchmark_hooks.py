@@ -42,7 +42,9 @@ def test_tracer_finds_and_sees_every_oracle_layer(monkeypatch):
     try:
         tracer.install()
         assert tracer.missing == []
-        oracle_classify_facets(IntervalFacets(4, ((1, 3), (2, 4))))
+        # a path chain: on ((1,3),(2,4)) every homology core is a join of
+        # complete skeleta, read off without a rank
+        oracle_classify_facets(IntervalFacets(7, ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7))))
     finally:
         tracer.uninstall()
     seen = {span[0] for span in tracer.spans}

@@ -62,6 +62,15 @@ def test_interval_facets_invariants():
     assert [(b.start, b.facets.facets) for b in decompose_blocks(F)] == [(1, ((1, 2),)), (3, ((1, 3),))]
 
 
+def test_interval_facets_refuse_what_is_not_an_int():
+    # an endpoint is not rounded, a string is not parsed, and a float n is
+    # refused here rather than later by build_graph
+    for n, facets in [(3, ((1.9, 3),)), (3, (("1", "3"),)), (3.0, ((1, 3),))]:
+        with pytest.raises(TypeError, match="must be ints"):
+            IntervalFacets(n, facets)
+    assert IntervalFacets(3, [[1, 2], [2, 3]]).facets == ((1, 2), (2, 3))
+
+
 def test_recognize_complete_and_showcase(seven_graph):
     lab, F = recognize_closed(complete_graph(5))
     assert F.facets == ((1, 5),)

@@ -122,17 +122,19 @@ def _closed_n6():
 def test_oracle_sweeps_depth_once_per_distinct_truncation(monkeypatch):
     # the oracle sweeps the complex itself; Goodarzi reuses that depth and
     # sweeps each further facet-size truncation once, by increasing size,
-    # up to the first one that fails
+    # up to the first one that fails, through either depth entry
     import edgeideals.oracle as oracle_mod
 
     swept = []
-    real = oracle_mod.depth_hochster
 
-    def counted(C, *args, **kwargs):
-        swept.append(C.mask_key)
-        return real(C, *args, **kwargs)
+    def counted(real):
+        def sweep(C, *args, **kwargs):
+            swept.append(C.mask_key)
+            return real(C, *args, **kwargs)
+        return sweep
 
-    monkeypatch.setattr(oracle_mod, "depth_hochster", counted)
+    for name in ("depth_hochster", "depth_at_least"):
+        monkeypatch.setattr(oracle_mod, name, counted(getattr(oracle_mod, name)))
     for F in [*_closed_n6(), SEVEN_NOT_SCM, SEVEN_ALMOST]:
         swept.clear()
         rep = oracle_classify_facets(F)
