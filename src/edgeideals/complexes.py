@@ -5,25 +5,24 @@ function below works on masks), and what the oracle asks of it: Reisner's
 Cohen-Macaulay test, Duval's sequential CM test and depth by Hochster's
 formula.  Underneath, an engine computes reduced simplicial homology over
 Q by exact integer elimination on boundary matrices, for the criteria
-only; it has no public entry.  Three homotopy-preserving reductions are
-applied first, because the complexes arising from monomial-ideal sweeps
-are huge but overwhelmingly contractible:
+only; it has no public entry.  The complexes arising from monomial-ideal
+sweeps are huge but overwhelmingly contractible, so one chain reduces the
+whole facet list before any matrix:
 
-  * split into vertex-disjoint pieces (homology adds, with the usual
-    correction in degree 0),
-  * skip pieces with a cone point (a vertex lying in every facet),
-  * strong collapses on the facet list (delete a vertex whose facets all
-    share another vertex, prune to maximal facets, repeat; Barmak-Minian
-    2012).  A piece that collapses to a cone is contractible.
+  * Strong collapses (delete a vertex whose facets all share another
+    vertex, prune to maximal facets, repeat; Barmak-Minian 2012).  A
+    complex that collapses to a cone is contractible.
+  * A core left without a cone point is tested for the shape of a join of
+    complete skeleta (all k_i-subsets of disjoint vertex classes V_i, read
+    off the minimal nonfaces), whose homology Kuenneth gives without a
+    matrix.
+  * Only the faces of the other cores reach the boundary matrices.
 
-A core left without a cone point is then tested for the shape of a join
-of complete skeleta (all k_i-subsets of disjoint vertex classes V_i, read
-off the minimal nonfaces), whose homology Kuenneth gives without a
-matrix; only the faces of the other cores reach the boundary matrices.
-Every piece that is not a cone, whichever way its core was read, asserts
-the Euler identity: the alternating sum of the computed Betti numbers must
-equal the reduced Euler characteristic of the face vector of the piece
-*before* the collapses, which catches reduction bugs at the source.
+Every answer, whichever way its core was read, asserts the Euler identity:
+the alternating sum of the computed Betti numbers must equal the reduced
+Euler characteristic of the face vector of the complex *before* the
+collapses, which catches reduction bugs at the source.  The face cap
+bounds that face list: the faces of the whole complex asked about.
 
 Conventions: the complex {emptyset} has reduced homology Q in degree -1;
 the void complex (no faces at all) has none anywhere.  Vertices of a
@@ -33,16 +32,16 @@ depth sweep counts each as a variable in the face ideal.
 Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
 every face sigma of K (the empty face included) has a link with no reduced
 homology below degree t - |sigma|.  It checks K itself, then recurses on
-the vertex links with t - 1; at t = 1 the vertex links reduce to "no
-vertex is a facet on its own", so none is built.  A cone simplex(A) * B
-asks nothing of its own: every face not containing A has a cone as its
-link, so the check passes straight to B at t - |A|.  Reisner is the case
-"pure, t = dim".  Duval's sequential CM criterion (every pure i-skeleton
-is CM) is the case t = i on the subcomplex generated by the facets with
-more than i vertices, so the skeletons are never built.  Results are
-memoised per (facets, t, face cap) and homology profiles per (facets,
-face cap): a call's answer, or its ResourceCapError, does not depend on
-the calls made before it.
+the vertex links with t - 1; at t = 0 only degree -1 is asked, and it
+fails for {emptyset} alone, so no homology is computed there.  A cone
+simplex(A) * B asks nothing of its own: every face not containing A has a
+cone as its link, so the check passes straight to B at t - |A|.  Reisner
+is the case "pure, t = dim".  Duval's sequential CM criterion (every pure
+i-skeleton is CM) is the case t = i on the subcomplex generated by the
+facets with more than i vertices, so the skeletons are never built.
+Results are memoised per (facets, t, face cap) from t = 1 on and homology
+profiles per (facets, face cap): a call's answer, or its
+ResourceCapError, does not depend on the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -54,13 +53,16 @@ descending size, stopping as soon as smaller subsets cannot beat the best
 contribution found.  A restriction is the join of its restrictions to the
 connected components of the 2-section graph of the minimal nonfaces inside
 the subset, so the sweep computes homology per component, with
-memoization, and adds the degrees.  The components are flooded through
-the same `graphs.union_table` and `graphs.components` that the exhaustive
-cut-set sweep uses, all of them before any homology: each takes off at
-least 1, so a subset whose size minus its component count cannot beat the
-best contribution is skipped.  `depth_at_least` asks the yes/no question
-"depth >= k" of the same sweep, started from the floor that depth k
-allows and stopped at the first subset above it.
+memoization, and adds the degrees.  The facets are relabeled once into
+local coordinates on the vertices of the minimal nonfaces: every other
+vertex lies in every facet and in no component, so each component
+restricts the local facet list directly.  The components are flooded
+through the same `graphs.union_table` and `graphs.components` that the
+exhaustive cut-set sweep uses, all of them before any homology: each takes
+off at least 1, so a subset whose size minus its component count cannot
+beat the best contribution is skipped.  `depth_at_least` asks the yes/no
+question "depth >= k" of the same sweep, started from the floor that
+depth k allows and stopped at the first subset above it.
 
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `facet_truncations` walks
@@ -108,11 +110,15 @@ class SimplicialComplex:
     mask_key: frozenset[int]
 
     def __post_init__(self):
-        key = self.mask_key
+        n, key = self.n_vertices, self.mask_key
+        if not isinstance(n, int):
+            raise TypeError(f"n_vertices must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"n_vertices must be >= 0, got {n}")
         if not all(isinstance(m, int) for m in key):
             raise TypeError("facets are vertex masks; use from_faces to build from vertex sets")
-        if key and (min(key) < 0 or max(key) >> self.n_vertices):
-            raise ValueError(f"facet mask with a vertex outside 1..{self.n_vertices}")
+        if key and (min(key) < 0 or max(key) >> n):
+            raise ValueError(f"facet mask with a vertex outside 1..{n}")
         if len(_prune_to_maximal(key)) != len(key):
             raise ValueError("facets must be pairwise incomparable")
 
@@ -283,28 +289,19 @@ def _boundary_columns(faces_by_dim: dict[int, list[int]], d: int) -> dict[int, d
 
 
 def _betti_from_faces(faces: set[int]) -> dict[int, int]:
-    """Reduced Betti numbers by boundary-matrix ranks (nonzero degrees only)."""
-    if not faces:
-        return {}
+    """Reduced Betti numbers by boundary-matrix ranks (nonzero degrees only)
+    of the faces of a nonvoid complex; the empty face is its degree -1."""
     faces_by_dim: dict[int, list[int]] = {}
     for m in faces:
         faces_by_dim.setdefault(m.bit_count() - 1, []).append(m)
     for d in faces_by_dim:
         faces_by_dim[d].sort()
     top = max(faces_by_dim)
-    ranks = {d: 0 for d in range(-1, top + 2)}
-    for d in range(0, top + 1):
-        if d == 0:
-            ranks[0] = 1 if faces_by_dim.get(0) else 0
-        else:
-            ranks[d] = rank_sparse_pm(_boundary_columns(faces_by_dim, d))
+    ranks = {d: rank_sparse_pm(_boundary_columns(faces_by_dim, d)) for d in range(1, top + 1)}
+    ranks[0] = 1 if top >= 0 else 0  # every vertex has the empty face as boundary
     out: dict[int, int] = {}
-    b_minus1 = 1 - ranks[0]
-    if b_minus1:
-        out[-1] = b_minus1
-    for d in range(0, top + 1):
-        fd = len(faces_by_dim.get(d, []))
-        b = fd - ranks[d] - ranks[d + 1]
+    for d in range(-1, top + 1):
+        b = len(faces_by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if b:
             out[d] = b
     return out
@@ -315,57 +312,26 @@ def _betti_from_faces(faces: set[int]) -> dict[int, int]:
 _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 
-def _group_betti(group: list[int], cap: int) -> dict[int, int]:
-    if _apex(group):
-        return {}
-    faces = _faces_of(group, cap)
-    # reduced Euler characteristic of the piece before the collapses
-    euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
-    core = _strong_collapse(group)
-    if _apex(core):
-        betti = {}
-    else:
-        betti = _skeleton_join_profile(core)
-        if betti is None:
-            betti = _betti_from_faces(_faces_of(core, cap))
-    euler_betti = sum(b if d % 2 == 0 else -b for d, b in betti.items())
-    if euler_faces != euler_betti:
-        raise AssertionError(
-            f"Euler check failed: chi from faces {euler_faces} != from betti {euler_betti}"
-        )
-    return betti
-
-
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets."""
     hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
-    if not facets_key:
+    faces = _faces_of(facets_key, cap)
+    # reduced Euler characteristic of the complex before the collapses
+    euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
+    core = _strong_collapse(facets_key)
+    if not core or _apex(core):
         result: dict[int, int] = {}
-    elif facets_key == frozenset({0}):
-        result = {-1: 1}
     else:
-        groups: list[list[int]] = []
-        group_mask: list[int] = []
-        for m in sorted(facets_key):
-            joined = [i for i, gm in enumerate(group_mask) if gm & m]
-            if not joined:
-                groups.append([m])
-                group_mask.append(m)
-            else:
-                tgt = joined[0]
-                for i in reversed(joined[1:]):
-                    groups[tgt].extend(groups.pop(i))
-                    group_mask[tgt] |= group_mask.pop(i)
-                groups[tgt].append(m)
-                group_mask[tgt] |= m
-        result = {}
-        for g in groups:
-            for d, b in _group_betti(g, cap).items():
-                result[d] = result.get(d, 0) + b
-        if len(groups) > 1:
-            result[0] = result.get(0, 0) + len(groups) - 1
+        result = _skeleton_join_profile(core)
+        if result is None:
+            result = _betti_from_faces(_faces_of(core, cap))
+    euler_betti = sum(b if d % 2 == 0 else -b for d, b in result.items())
+    if euler_faces != euler_betti:
+        raise AssertionError(
+            f"Euler check failed: chi from faces {euler_faces} != from betti {euler_betti}"
+        )
     _profile_cache[(facets_key, cap)] = result
     return result
 
@@ -382,7 +348,7 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
     The empty face asks this of the complex itself; a vertex link, checked
     with t - 1, asks it of every face through that vertex, because links of
     links are links.  A True answer at t implies one at t - 1.  Memoised
-    on (facets, t, cap) from t = 2 on, for complexes without a cone point.
+    on (facets, t, cap) from t = 1 on, for complexes without a cone point.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
     B = {f - A}, asks nothing of its own: a face sigma not containing A has
@@ -397,12 +363,6 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
     apex = _apex(facets_key)
     if apex:
         return _links_acyclic(frozenset(f & ~apex for f in facets_key), t - apex.bit_count(), cap)
-    if t == 1:
-        # the vertex links are asked for degree -1 only, and a vertex link
-        # is {emptyset} exactly when that vertex is a facet on its own
-        if any(d < 1 and b for d, b in _profile_masks(facets_key, cap).items()):
-            return False
-        return not any(m.bit_count() == 1 for m in facets_key)
     key = (facets_key, t, cap)
     hit = _cm_cache.get(key)
     if hit is not None:
@@ -458,12 +418,6 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
 # -- depth via the projective-dimension sweep -----------------------------------
 
 
-def _dmin_of_restriction(facet_masks, sigma: int, cap: int) -> int | None:
-    """Lowest degree with nonzero reduced homology of C restricted to sigma."""
-    nz = _profile_masks(_prune_to_maximal(f & sigma for f in facet_masks), cap)
-    return min(nz) if nz else None
-
-
 def check_var_cap(numvars: int, max_vars: int) -> None:
     """The depth sweep's variable cap: its `union_table` has up to
     2^numvars entries, each a 32-bit mask with one bit per variable, so no
@@ -489,6 +443,11 @@ def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
     `depth_hochster`.  Nothing is yielded when no sigma beats floor;
     otherwise the last value is the pd of the face ring of C's support.
 
+    Everything runs in local coordinates on the vertices of the minimal
+    nonfaces: the nonfaces, the lattice, the table and the facets, which
+    are relabeled once.  A vertex in no minimal nonface lies in every facet
+    and in no part, so a part restricts the local facets as they are.
+
     Every part of sigma is flooded before any homology is computed: the
     parts take off d_j + 1 >= 1 each, so sigma with c(sigma) parts is
     skipped when |sigma| - c(sigma) cannot beat the best so far.
@@ -499,6 +458,7 @@ def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
     target = [None] * (C.n_vertices + 1)
     for k, b in enumerate(verts):
         target[b + 1] = k
+    local_facets = permute_masks(facet_masks, target)
     adj = [0] * len(verts)  # 2-section graph of the minimal nonfaces
     lattice = {0}
     for nf in permute_masks(nonfaces, target):
@@ -524,8 +484,8 @@ def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
                 if cc in dmin_memo:
                     d = dmin_memo[cc]
                 else:
-                    part = union_of(1 << verts[k] for k in bits(cc))
-                    d = dmin_memo[cc] = _dmin_of_restriction(facet_masks, part, max_faces)
+                    nz = _profile_masks(_prune_to_maximal(f & cc for f in local_facets), max_faces)
+                    d = dmin_memo[cc] = min(nz) if nz else None
                 if d is None:
                     break
                 cand -= d
@@ -559,12 +519,15 @@ def depth_hochster(
     to the components of the 2-section graph of the minimal nonfaces inside
     sigma, flooded through nb (the `union_table` of that graph), so it
     contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
-    of component j, memoised per component.  All parts are flooded first,
-    and sigma is skipped without homology when |sigma| - c(sigma), with
-    c(sigma) its number of parts, is at most the best contribution so far
-    (the floor, which starts at 0 for sigma = {}).  The table, 2^m entries
-    for the m vertices of the minimal nonfaces, and the lattice are built
-    only after the variable cap is checked.
+    of component j.  d_j is memoised per component and read off the facets
+    relabeled into the same local coordinates, restricted to the component
+    as they are: the vertices dropped lie in every facet and in no
+    component.  All parts are flooded first, and sigma is skipped without
+    homology when |sigma| - c(sigma), with c(sigma) its number of parts,
+    is at most the best contribution so far (the floor, which starts at 0
+    for sigma = {}).  The table, 2^m entries for the m vertices of the
+    minimal nonfaces, and the lattice are built only after the variable cap
+    is checked.
     """
     ghosts = _checked_ghosts(C, max_vars)
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}

@@ -94,6 +94,8 @@ class Graph:
     def __post_init__(self):
         if not 0 <= self.n <= MAX_VERTICES:
             raise GraphInputError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        if len(self.adj) != self.n + 1:
+            raise GraphInputError(f"adjacency has {len(self.adj)} entries, need n + 1 = {self.n + 1}")
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         out = []

@@ -244,9 +244,14 @@ def test_reisner_matches_reference(C):
 @example(cx(3, (1, 2), (1, 3), (2, 3)))       # hollow triangle: no dominated vertex
 @example(cx(4, (1, 2, 4), (1, 3, 4), (2, 3, 4)))  # its cone
 @example(cx(3, ()))
+# a hollow triangle beside a cone and a point: the core keeps two extra
+# points and reaches the boundary ranks, profile {0: 2, 1: 1}
+@example(cx(8, (1, 2), (1, 3), (2, 3), (4, 5, 6), (5, 6, 7), (8,)))
+@example(cx(6, (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)))  # two hollow triangles
 @given(coned(dominated_complexes()))
 def test_reductions_match_plain_matrices(C):
-    # components, cones and strong collapses against raw boundary ranks
+    # disconnected complexes, cones and strong collapses against raw
+    # boundary ranks
     plain = _betti_from_faces(_faces_of(C.mask_key, 1 << 20))
     assert _profile_masks(C.mask_key) == plain
 
@@ -393,6 +398,19 @@ def test_constructor_refuses_what_is_not_a_facet_mask_family():
         SimplicialComplex(3, frozenset({frozenset({1, 2})}))
 
 
+def test_constructor_checks_n_vertices_before_the_masks():
+    with pytest.raises(ValueError, match="n_vertices"):
+        SimplicialComplex(-3, frozenset())
+    with pytest.raises(ValueError, match="n_vertices"):
+        SimplicialComplex(-1, frozenset({1}))
+    with pytest.raises(TypeError, match="n_vertices"):
+        SimplicialComplex(2.5, frozenset({1}))
+    with pytest.raises(TypeError, match="n_vertices"):
+        SimplicialComplex("3", frozenset({1}))
+    assert SimplicialComplex(0, frozenset()).is_void
+    assert SimplicialComplex(0, frozenset({0})).dim == -1
+
+
 def test_euler_check_catches_a_corrupted_core(monkeypatch):
     # vertex 3 of the hollow triangle is not dominated: deleting it leaves an
     # edge, a cone, against reduced Euler characteristic -1 of the faces
@@ -531,6 +549,18 @@ def test_face_cap_enforced():
     # a sphere is not a cone, so its faces really are enumerated
     with pytest.raises(ResourceCapError):
         _profile_masks(simplex_boundary(10).mask_key, 100)
+
+
+def test_face_cap_bounds_the_whole_complex():
+    # two disjoint boundaries of the 5-simplex: 63 faces each, 125 together
+    # (the empty face is shared); the cap bounds the faces of the complex
+    # asked about, not those of each vertex-disjoint piece
+    two = SimplicialComplex.from_faces(
+        12, [*combinations(range(1, 7), 5), *combinations(range(7, 13), 5)])
+    assert len(_faces_of(two.mask_key, DEFAULT_FACE_CAP)) == 125
+    with pytest.raises(ResourceCapError):
+        _profile_masks(two.mask_key, 100)
+    assert _profile_masks(two.mask_key) == {0: 1, 4: 2}
 
 
 def test_depth_with_ghost_vertices():

@@ -55,6 +55,15 @@ def test_dedup_and_validation():
         from_edge_list(0, [])
 
 
+def test_graph_refuses_an_adjacency_of_the_wrong_length():
+    with pytest.raises(GraphInputError, match=r"n \+ 1 = 4"):
+        Graph(3, (0,))
+    with pytest.raises(GraphInputError, match=r"n \+ 1 = 2"):
+        Graph(1, (0, 0, 0))
+    assert Graph(0, (0,)).edges() == ()
+    assert Graph(2, (0, 0b10, 0b01)).edges() == ((1, 2),)
+
+
 def test_seven_vertex_example_edges(seven_graph):
     # union of the interval cliques [1,3],[2,5],[3,6],[5,7]
     assert num_edges(seven_graph) == 13
