@@ -16,7 +16,8 @@ whole facet list before any matrix:
     complete skeleta (all k_i-subsets of disjoint vertex classes V_i, read
     off the minimal nonfaces), whose homology Kuenneth gives without a
     matrix.
-  * Only the faces of the other cores reach the boundary matrices.
+  * Only the faces of the other cores reach the boundary matrices; a core
+    is induced on its vertices, so they are read off the face list.
 
 Every answer, whichever way its core was read, asserts the Euler identity:
 the alternating sum of the computed Betti numbers must equal the reduced
@@ -29,19 +30,22 @@ the void complex (no faces at all) has none anywhere.  Vertices of a
 complex live in {1..n_vertices}; vertices in no facet are ghosts, and the
 depth sweep counts each as a variable in the face ideal.
 
-Reisner's and Duval's criteria share one primitive, `_links_acyclic(K, t)`:
-every face sigma of K (the empty face included) has a link with no reduced
-homology below degree t - |sigma|.  It checks K itself, then recurses on
-the vertex links with t - 1; at t = 0 only degree -1 is asked, and it
-fails for {emptyset} alone, so no homology is computed there.  A cone
-simplex(A) * B asks nothing of its own: every face not containing A has a
-cone as its link, so the check passes straight to B at t - |A|.  Reisner
-is the case "pure, t = dim".  Duval's sequential CM criterion (every pure
-i-skeleton is CM) is the case t = i on the subcomplex generated by the
-facets with more than i vertices, so the skeletons are never built.
-Results are memoised per (facets, t, face cap) from t = 1 on and homology
-profiles per (facets, face cap): a call's answer, or its
-ResourceCapError, does not depend on the calls made before it.
+Reisner's and Duval's criteria read one integer per complex, its link
+depth: the least |sigma| + j over the faces sigma of K (the empty face
+included) and the degrees j of nonzero reduced homology of lk sigma.  It
+is the minimum of K's own lowest nonzero degree and 1 + the link depth of
+each vertex link.  A cone simplex(A) * B has the link depth of B plus |A|,
+since every face not containing A has a cone as its link.  Every face's
+link is acyclic below degree t - |sigma| exactly when t <= link depth, so
+the t-skeleton of K is CM exactly then, and depth k[K] = 1 + min(link
+depth, dim K) (Smith 1990).  Reisner is "link depth >= dim" (purity
+follows, as a facet's link is {emptyset}).  Duval's sequential CM
+criterion (every pure i-skeleton is CM) is "link depth >= i" on the
+subcomplex generated by the facets with more than i vertices, so the
+skeletons are never built.  Link depths are memoised per (facets, face
+cap), for complexes without a cone point, and homology profiles per
+(facets, face cap): a call's answer, or its ResourceCapError, does not
+depend on the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -67,7 +71,7 @@ depth k allows and stopped at the first subset above it.
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `facet_truncations` walks
 them for both; the walk only chooses them.  The depth sweep never looks at
-links, so depth against Reisner and Goodarzi against Duval compare
+links, so depth against link depth and Goodarzi against Duval compare
 independent code paths.
 """
 
@@ -125,6 +129,10 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n_vertices: int, faces) -> "SimplicialComplex":
         """Complex generated by an arbitrary family of faces (vertex sets)."""
+        faces = [tuple(f) for f in faces]
+        # a vertex above n_vertices has a bit, which the constructor refuses
+        if any(v < 1 for f in faces for v in f):
+            raise ValueError(f"face with a vertex outside 1..{n_vertices}")
         return cls(n_vertices, _prune_to_maximal(map(mask_of, faces)))
 
     @property
@@ -326,7 +334,10 @@ def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> d
     else:
         result = _skeleton_join_profile(core)
         if result is None:
-            result = _betti_from_faces(_faces_of(core, cap))
+            # the core is the subcomplex induced on its vertices: strong
+            # collapses only delete vertices
+            keep = union_of(core)
+            result = _betti_from_faces({f for f in faces if f & keep == f})
     euler_betti = sum(b if d % 2 == 0 else -b for d, b in result.items())
     if euler_faces != euler_betti:
         raise AssertionError(
@@ -338,44 +349,45 @@ def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> d
 
 # -- Reisner / Duval criteria ---------------------------------------------------
 
-_cm_cache: dict[tuple[frozenset[int], int, int], bool] = {}
+_cm_cache: dict[tuple[frozenset[int], int], int] = {}
 
 
-def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
-    """Whether H_j(lk sigma) = 0 for every face sigma (the empty face too)
-    and every -1 <= j < t - |sigma| (reduced homology over Q).
+def link_depth(facets_key: frozenset[int], cap: int) -> int:
+    """The least |sigma| + j over the faces sigma of the (nonvoid) complex,
+    the empty face included, and the degrees j with H_j(lk sigma) != 0
+    (reduced homology over Q).
 
-    The empty face asks this of the complex itself; a vertex link, checked
-    with t - 1, asks it of every face through that vertex, because links of
-    links are links.  A True answer at t implies one at t - 1.  Memoised
-    on (facets, t, cap) from t = 1 on, for complexes without a cone point.
+    Every face sigma has no homology in its link below t - |sigma| exactly
+    when t <= link_depth; a facet's link is {emptyset}, so the value is at
+    most the smallest facet size minus 1.  The empty face gives the lowest
+    nonzero degree of the complex itself, and the faces through a vertex v
+    give 1 + the link depth of lk v, because links of links are links.
+    Memoised on (facets, cap) for complexes without a cone point.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
-    B = {f - A}, asks nothing of its own: a face sigma not containing A has
+    B = {f - A}, has link depth(B) + |A|: a face sigma not containing A has
     a cone as its link (each facet of it holds a vertex of A - sigma), and
-    for sigma containing A the link is lk_B(sigma - A), asked below
-    t - |sigma|.  So K at t is B at t - |A|.
+    for sigma containing A the link is lk_B(sigma - A).
     """
-    if t <= -1:
-        return True
-    if t == 0:
-        return facets_key != frozenset({0})  # only degree -1 is asked for
     apex = _apex(facets_key)
     if apex:
-        return _links_acyclic(frozenset(f & ~apex for f in facets_key), t - apex.bit_count(), cap)
-    key = (facets_key, t, cap)
+        return link_depth(frozenset(f & ~apex for f in facets_key), cap) + apex.bit_count()
+    key = (facets_key, cap)
     hit = _cm_cache.get(key)
     if hit is not None:
         return hit
-    result = not any(d < t and b for d, b in _profile_masks(facets_key, cap).items())
-    if result:
-        for b in bits(union_of(facets_key)):
-            v = 1 << b
-            # facets through v, minus v, are already pairwise incomparable
-            lk = frozenset(f & ~v for f in facets_key if f & v)
-            if not _links_acyclic(lk, t - 1, cap):
-                result = False
-                break
+    support = union_of(facets_key)
+    # when K is acyclic, the facets' links give less than this default
+    result = min(_profile_masks(facets_key, cap), default=support.bit_count())
+    for b in bits(support):
+        if result <= 1:
+            # only {emptyset} has link depth -1, and an isolated vertex,
+            # whose link it is, makes K disconnected (result 0): every other
+            # vertex link gives at least 1
+            break
+        v = 1 << b
+        # facets through v, minus v, are already pairwise incomparable
+        result = min(result, 1 + link_depth(frozenset(f & ~v for f in facets_key if f & v), cap))
     _cm_cache[key] = result
     return result
 
@@ -383,15 +395,14 @@ def _links_acyclic(facets_key: frozenset[int], t: int, cap: int) -> bool:
 def is_cm_reisner(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
     """Reisner criterion over Q: every face's link has homology only in top degree.
 
-    Implemented as: the complex is pure of dimension d, and every face sigma
-    has a link whose reduced homology vanishes below d - |sigma|.
+    Implemented as link_depth >= dim: every face sigma has a link whose
+    reduced homology vanishes below dim - |sigma|.  Purity follows, since
+    a facet sigma of size below dim + 1 has {emptyset}, with homology in
+    degree -1 < dim - |sigma|, as its link.
     """
     if C.is_void:
         raise ValueError("void complex")
-    sizes = {m.bit_count() for m in C.mask_key}
-    if len(sizes) > 1:
-        return False  # Cohen-Macaulay complexes are pure
-    return _links_acyclic(C.mask_key, sizes.pop() - 1, max_faces)
+    return link_depth(C.mask_key, max_faces) >= C.dim
 
 
 def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
@@ -401,18 +412,16 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
     the facets with more than i vertices.  Truncating to the i-skeleton
     keeps homology below degree i and commutes with taking links, so the
     skeleton is CM iff every face sigma of that subcomplex has a link with
-    no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009).
-    The skeleton itself is never built.
+    no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009),
+    that is, iff i <= its link depth.  The skeleton itself is never built.
 
     Each subcomplex of `facet_truncations` is checked once, at i = s - 1,
     which implies the checks at smaller i; a pure complex needs one check,
-    the one Reisner's criterion makes.  Goodarzi's filtration criterion in
-    the oracle reaches the same verdict through the Hochster depth sweep.
+    on the link depth Reisner's criterion memoised.  Goodarzi's filtration
+    criterion in the oracle reaches the same verdict through the Hochster
+    depth sweep.
     """
-    for s, kept in facet_truncations(C):
-        if not _links_acyclic(kept, s - 1, max_faces):
-            return False
-    return True
+    return all(link_depth(kept, max_faces) >= s - 1 for s, kept in facet_truncations(C))
 
 
 # -- depth via the projective-dimension sweep -----------------------------------

@@ -17,8 +17,9 @@ sweep over the unions of minimal nonfaces, which never looks at links.
 Both ask once per distinct facet size, since the subcomplex only changes
 there; Goodarzi reuses the oracle's depth of the whole complex and asks
 each smaller subcomplex only the yes/no question `depth_at_least`.
-Likewise Reisner's CM verdict (links) is checked against depth == dim
-(Auslander-Buchsbaum).
+Likewise the link depth behind Reisner's CM verdict is checked against
+the Hochster depth: depth == 1 + min(link depth, dim) (Smith 1990), which
+implies Reisner's verdict agrees with depth == dim (Auslander-Buchsbaum).
 
 The oracle certifies invariants of the initial ideal.  Depth, dimension,
 CM-ness and almost-CM-ness carry over to the binomial ideal by the transfer
@@ -45,6 +46,7 @@ from .complexes import (
     facet_truncations,
     is_cm_reisner,
     is_scm_duval,
+    link_depth,
 )
 from .errors import NotClosedError
 from .graphs import Graph, _bron_kerbosch, union_of
@@ -164,9 +166,10 @@ def oracle_classify_facets(
     dim_quotient = C.dim + 1
     depth = depth_hochster(C, max_vars=max_vars, max_faces=max_faces)
     cm = is_cm_reisner(C, max_faces=max_faces)
-    if cm != (depth == dim_quotient):
-        raise AssertionError("Reisner and Auslander-Buchsbaum disagree; engine bug")
     scm = is_scm_duval(C, max_faces=max_faces)
+    # memoised by both criteria: the t-skeleton is CM exactly for t <= link depth
+    if depth != 1 + min(link_depth(C.mask_key, max_faces), C.dim):
+        raise AssertionError("link depth and Hochster depth disagree; engine bug")
     goo = goodarzi_check(C, max_vars=max_vars, max_faces=max_faces, depth_of_complex=depth)
     almost = depth >= dim_quotient - 1
     return OracleReport(

@@ -12,7 +12,6 @@ from edgeideals.complexes import (
     _apex,
     _betti_from_faces,
     _faces_of,
-    _links_acyclic,
     _minimal_nonfaces,
     _profile_masks,
     _prune_to_maximal,
@@ -21,6 +20,7 @@ from edgeideals.complexes import (
     depth_hochster,
     is_cm_reisner,
     is_scm_duval,
+    link_depth,
 )
 from edgeideals.errors import ResourceCapError
 from edgeideals.graphs import from_edge_list, mask_of
@@ -265,23 +265,41 @@ def cones_over(draw, complexes_):
     return SimplicialComplex.from_faces(n + len(apex), [tuple(f) + apex for f in B.facets])
 
 
-@settings(max_examples=300, deadline=None)
-@_with_small_cases
-@example(cx(2, (1,)))  # one point: acyclic, but its link {emptyset} fails t = 1
-@example(cx(3, (1, 2, 3)))               # a simplex: a cone over {emptyset}
-@example(cx(5, (1, 2, 4, 5), (3, 4, 5)))  # an edge and a point below apex {4, 5}
-@given(st.one_of(
+_link_depth_cases = st.one_of(
     mixed_complexes(), coned(flag_complexes()), coned(dominated_complexes()),
     cones_over(st.one_of(mixed_complexes(block=4, max_pieces=2), flag_complexes(max_n=5))),
-))
+)
+
+
+def _with_link_depth_examples(test):
+    for C in [
+        cx(2, (1,)),  # one point: acyclic, but its link {emptyset} gives 1 - 1
+        cx(3, (1, 2, 3)),               # a simplex: a cone over {emptyset}
+        cx(5, (1, 2, 4, 5), (3, 4, 5)),  # an edge and a point below apex {4, 5}
+    ]:
+        test = example(C)(test)
+    return _with_small_cases(test)
+
+
+@settings(max_examples=300, deadline=None)
+@_with_link_depth_examples
+@given(_link_depth_cases)
 def test_links_acyclic_matches_reference_and_is_monotone(C):
-    # the library passes from a cone simplex(A) * B straight to B at
-    # t - |A|; the reference builds and recurses into every vertex link
-    ts = range(-1, C.dim + 2)
-    got = [_links_acyclic(C.mask_key, t, DEFAULT_FACE_CAP) for t in ts]
-    assert got == [links_acyclic_ref(C.mask_key, t, DEFAULT_FACE_CAP) for t in ts]
-    # an answer True at t is True at t - 1
-    assert all(lower or not higher for lower, higher in zip(got, got[1:]))
+    # the library passes from a cone simplex(A) * B straight to B and adds
+    # |A|; the reference builds and recurses into every vertex link at each
+    # t, and its answers must be True exactly up to the link depth
+    depth = link_depth(C.mask_key, DEFAULT_FACE_CAP)
+    for t in range(-1, C.dim + 2):
+        assert (t <= depth) == links_acyclic_ref(C.mask_key, t, DEFAULT_FACE_CAP), t
+
+
+@settings(max_examples=300, deadline=None)
+@_with_link_depth_examples
+@given(_link_depth_cases)
+def test_hochster_depth_is_one_plus_link_depth_up_to_dim(C):
+    # Smith 1990: depth k[C] = 1 + max{t : the t-skeleton is CM}, and the
+    # t-skeleton (t <= dim) is CM exactly when t <= link depth
+    assert depth_hochster(C) == 1 + min(link_depth(C.mask_key, DEFAULT_FACE_CAP), C.dim)
 
 
 @st.composite
@@ -398,6 +416,14 @@ def test_constructor_refuses_what_is_not_a_facet_mask_family():
         SimplicialComplex(3, frozenset({frozenset({1, 2})}))
 
 
+def test_from_faces_refuses_vertices_outside_the_universe():
+    # vertex 0 has no bit: it must not reach the mask as a negative shift
+    for faces in ([(0, 1)], [(1,), (-2,)], [(4,)]):
+        with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+            SimplicialComplex.from_faces(3, faces)
+    assert SimplicialComplex.from_faces(3, iter([(1, 3), (3,)])).mask_key == {0b101}
+
+
 def test_constructor_checks_n_vertices_before_the_masks():
     with pytest.raises(ValueError, match="n_vertices"):
         SimplicialComplex(-3, frozenset())
@@ -509,6 +535,17 @@ def test_caps_do_not_depend_on_call_history():
     assert _profile_masks(sphere.mask_key) == {5: 1}
     assert is_cm_reisner(sphere) and is_scm_duval(sphere)
     assert depth_hochster(sphere) == 6 and goodarzi_check(sphere)
+
+
+def test_capped_link_criteria_list_the_faces_of_the_complex_asked_about():
+    # nine isolated points have 10 faces; their link depth 0 is read off
+    # the homology of the complex itself, so the face cap applies even
+    # where no homology below degree 0 is asked for
+    points = cx(9, *[(v,) for v in range(1, 10)])
+    for check in (is_cm_reisner, is_scm_duval):
+        with pytest.raises(ResourceCapError):
+            check(points, max_faces=8)
+        assert check(points, max_faces=10)
 
 
 def test_depth_simple_cases():

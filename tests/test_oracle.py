@@ -8,7 +8,14 @@ import pytest
 import edgeideals
 from edgeideals.classify import classify_facets
 from edgeideals.closed import IntervalFacets, reverse_facets
-from edgeideals.complexes import SimplicialComplex, depth_hochster, is_cm_reisner, is_scm_duval
+from edgeideals.complexes import (
+    DEFAULT_FACE_CAP,
+    SimplicialComplex,
+    depth_hochster,
+    is_cm_reisner,
+    is_scm_duval,
+    link_depth,
+)
 from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import NotClosedError, ResourceCapError
 from edgeideals.graphs import from_edge_list, permute_masks
@@ -64,7 +71,8 @@ def test_stanley_reisner_facets_are_maximal_independent_sets():
 
 def test_depth_matches_reference_on_every_truncation_n6():
     # Goodarzi's depth checks: every truncation (facets with more than i
-    # vertices) of the complex of every connected closed graph with n <= 6
+    # vertices) of the complex of every connected closed graph with n <= 6,
+    # and Smith's depth = 1 + min(link depth, dim) on each
     seen = set()
     for n in range(1, 7):
         for F in enumerate_closed_connected(n):
@@ -73,7 +81,9 @@ def test_depth_matches_reference_on_every_truncation_n6():
                 sub = SimplicialComplex(C.n_vertices, frozenset(m for m in C.mask_key if m.bit_count() > i))
                 if sub.mask_key not in seen:
                     seen.add(sub.mask_key)
-                    assert depth_hochster(sub) == depth_hochster_ref(sub), (F.facets, i)
+                    depth = depth_hochster(sub)
+                    assert depth == depth_hochster_ref(sub), (F.facets, i)
+                    assert depth == 1 + min(link_depth(sub.mask_key, DEFAULT_FACE_CAP), sub.dim)
 
 
 def test_reversal_maps_oracle_complexes():
@@ -105,6 +115,19 @@ def test_goodarzi_examples():
     assert not goodarzi_check(C7)
     full = stanley_reisner_complex(set(), 2)
     assert goodarzi_check(full)
+
+
+@pytest.mark.parametrize("shift, F", [
+    (-1, IntervalFacets(2, ((1, 2),))),  # CM: any lower link depth breaks it
+    (1, SEVEN_NOT_SCM),                  # link depth below dim: one more breaks it
+])
+def test_oracle_checks_link_depth_against_hochster_depth(monkeypatch, shift, F):
+    import edgeideals.oracle as oracle_mod
+
+    real = oracle_mod.link_depth
+    monkeypatch.setattr(oracle_mod, "link_depth", lambda key, cap: real(key, cap) + shift)
+    with pytest.raises(AssertionError, match="link depth and Hochster depth disagree"):
+        oracle_classify_facets(F)
 
 
 def test_void_complex_is_rejected_by_every_criterion():
