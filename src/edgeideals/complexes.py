@@ -42,10 +42,22 @@ depth, dim K) (Smith 1990).  Reisner is "link depth >= dim" (purity
 follows, as a facet's link is {emptyset}).  Duval's sequential CM
 criterion (every pure i-skeleton is CM) is "link depth >= i" on the
 subcomplex generated by the facets with more than i vertices, so the
-skeletons are never built.  Link depths are memoised per (facets, face
-cap), for complexes without a cone point, and homology profiles per
-(facets, face cap): a call's answer, or its ResourceCapError, does not
-depend on the calls made before it.
+skeletons are never built.
+
+Three memos hold the answers, each keyed with the face cap: homology
+profiles (`_profile_cache`), link depths of complexes without a cone point
+(`_cm_cache`) and the pd of the face ring of a complex's support
+(`_pd_cache`).  Every answer is computed on the canonical form of the facet
+masks (`_canonical`): the support packed onto its low bits in order, or
+the bit-reversal of that, whichever sorts first.  Complexes isomorphic by
+an order-preserving or order-reversing map of their supports share one
+entry: the depth sweep's restrictions in local coordinates and the same
+subcomplexes met by the link recursion in global masks, or the oracle
+complexes of a facet chain and of its reversal.  The profile and
+link-depth memos also store each raw key they were asked about, so a
+repeated question costs one lookup; `_pd_cache` holds canonical keys only.
+A call's answer, or its ResourceCapError, is thus a function of the
+canonical key and the cap, not of the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -315,16 +327,46 @@ def _betti_from_faces(faces: set[int]) -> dict[int, int]:
     return out
 
 
+def _canonical(facets_key: frozenset[int]) -> frozenset[int]:
+    """One representative of the facet masks up to packing and reversal.
+
+    The support is packed onto bits 0..w-1 in order (a support that is
+    already low-packed is kept as it is); of that family and its
+    bit-reversal within w bits, the one with the smaller sorted mask list
+    is returned.  Complexes with equal keys are isomorphic by an order-
+    preserving or order-reversing map of their supports, so their reduced
+    Betti numbers, link depth and the pd of the face ring of their support
+    agree, and so does their face count, which the face cap bounds.
+    """
+    support = union_of(facets_key)
+    w = support.bit_count()
+    masks = list(facets_key)
+    if support & (support + 1):  # not of the form 2^w - 1
+        target = [None] * (support.bit_length() + 1)
+        for k, b in enumerate(bits(support)):
+            target[b + 1] = k
+        masks = permute_masks(masks, target)
+    masks.sort()
+    flipped = sorted(int(format(m, f"0{w}b")[::-1], 2) for m in masks)
+    return frozenset(min(masks, flipped))
+
+
 # Keyed with the face cap, so that a call's result or its ResourceCapError
 # does not depend on which calls ran before it.
 _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
-    """Nonzero reduced Betti numbers of the complex with the given facets."""
+    """Nonzero reduced Betti numbers of the complex with the given facets,
+    computed on its canonical form and memoised under both keys."""
     hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
+    canon = _canonical(facets_key)
+    if canon != facets_key:
+        result = _profile_masks(canon, cap)
+        _profile_cache[(facets_key, cap)] = result
+        return result
     faces = _faces_of(facets_key, cap)
     # reduced Euler characteristic of the complex before the collapses
     euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
@@ -362,7 +404,8 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     most the smallest facet size minus 1.  The empty face gives the lowest
     nonzero degree of the complex itself, and the faces through a vertex v
     give 1 + the link depth of lk v, because links of links are links.
-    Memoised on (facets, cap) for complexes without a cone point.
+    Memoised on (facets, cap) for complexes without a cone point, computed
+    on the canonical form and stored under both keys.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
     B = {f - A}, has link depth(B) + |A|: a face sigma not containing A has
@@ -376,6 +419,10 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     hit = _cm_cache.get(key)
     if hit is not None:
         return hit
+    canon = _canonical(facets_key)
+    if canon != facets_key:
+        result = _cm_cache[key] = link_depth(canon, cap)
+        return result
     support = union_of(facets_key)
     # when K is acyclic, the facets' links give less than this default
     result = min(_profile_masks(facets_key, cap), default=support.bit_count())
@@ -398,10 +445,13 @@ def is_cm_reisner(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bo
     Implemented as link_depth >= dim: every face sigma has a link whose
     reduced homology vanishes below dim - |sigma|.  Purity follows, since
     a facet sigma of size below dim + 1 has {emptyset}, with homology in
-    degree -1 < dim - |sigma|, as its link.
+    degree -1 < dim - |sigma|, as its link; a complex with two facet sizes
+    is therefore answered False before any face is listed.
     """
     if C.is_void:
         raise ValueError("void complex")
+    if len({m.bit_count() for m in C.mask_key}) > 1:
+        return False  # not pure: answered before any homology
     return link_depth(C.mask_key, max_faces) >= C.dim
 
 
@@ -446,11 +496,12 @@ def _checked_ghosts(C: SimplicialComplex, max_vars: int) -> int:
     return C.n_vertices - C.support_mask().bit_count()
 
 
-def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
+def _pd_records(facets_key: frozenset[int], floor: int, max_faces: int):
     """Yield each contribution to the projective dimension that beats the
     best one so far, starting from floor, in the sweep order of
     `depth_hochster`.  Nothing is yielded when no sigma beats floor;
-    otherwise the last value is the pd of the face ring of C's support.
+    otherwise the last value is the pd of the face ring of the support of
+    the complex with the given facets.
 
     Everything runs in local coordinates on the vertices of the minimal
     nonfaces: the nonfaces, the lattice, the table and the facets, which
@@ -461,10 +512,10 @@ def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
     parts take off d_j + 1 >= 1 each, so sigma with c(sigma) parts is
     skipped when |sigma| - c(sigma) cannot beat the best so far.
     """
-    facet_masks = sorted(C.mask_key)
+    facet_masks = sorted(facets_key)
     nonfaces = _minimal_nonfaces(facet_masks)
     verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
-    target = [None] * (C.n_vertices + 1)
+    target = [None] * (union_of(facet_masks).bit_length() + 1)
     for k, b in enumerate(verts):
         target[b + 1] = k
     local_facets = permute_masks(facet_masks, target)
@@ -505,6 +556,10 @@ def _pd_records(C: SimplicialComplex, floor: int, max_faces: int):
                 yield cand
 
 
+# pd of the face ring of the support, per (canonical facets, face cap)
+_pd_cache: dict[tuple[frozenset[int], int], int] = {}
+
+
 def depth_hochster(
     C: SimplicialComplex,
     *,
@@ -536,13 +591,20 @@ def depth_hochster(
     is at most the best contribution so far (the floor, which starts at 0
     for sigma = {}).  The table, 2^m entries for the m vertices of the
     minimal nonfaces, and the lattice are built only after the variable cap
-    is checked.
+    is checked.  The sweep runs on the canonical complex (`_canonical`),
+    and its pd is memoised in `_pd_cache` per (canonical facets, face cap),
+    so every isomorphic copy, such as the reversal of an oracle complex,
+    reads it from there.
     """
     ghosts = _checked_ghosts(C, max_vars)
-    best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-    for best_pd in _pd_records(C, 0, max_faces):
-        pass
-    return C.n_vertices - (best_pd + ghosts)
+    canon = _canonical(C.mask_key)
+    pd = _pd_cache.get((canon, max_faces))
+    if pd is None:
+        pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
+        for pd in _pd_records(canon, 0, max_faces):
+            pass
+        _pd_cache[(canon, max_faces)] = pd
+    return C.n_vertices - (pd + ghosts)
 
 
 def depth_at_least(
@@ -559,9 +621,16 @@ def depth_at_least(
     contribution: it skips every sigma whose |sigma| - c(sigma) is at most
     the floor, and the answer is False at the first sigma above it.  A
     negative floor is False before any table is built (but after the
-    variable cap and the void check).
+    variable cap and the void check).  A pd already in `_pd_cache`
+    answers at once; otherwise the floor sweep runs, unmemoised, on the
+    canonical complex.  It computes a subset of the profiles that the full
+    sweep computes, so reading the cached pd cannot hide a cap error.
     """
     floor = C.n_vertices - k - _checked_ghosts(C, max_vars)
     if floor < 0:
         return False
-    return next(_pd_records(C, floor, max_faces), None) is None
+    canon = _canonical(C.mask_key)
+    pd = _pd_cache.get((canon, max_faces))
+    if pd is not None:
+        return pd <= floor
+    return next(_pd_records(canon, floor, max_faces), None) is None

@@ -52,9 +52,13 @@ def enumerate_closed_connected(n: int) -> Iterator[IntervalFacets]:
 
 
 def enumerate_closed_indecomposable(n: int) -> Iterator[IntervalFacets]:
-    """Connected chains with every consecutive intersection of size >= 2."""
-    if n < 2:
-        raise ValueError("n >= 2")
+    """Connected chains with every consecutive intersection of size >= 2.
+
+    The condition is vacuous for one facet, so the chain ((1, n),) is
+    always yielded, ((1, 1),) at n = 1 included.
+    """
+    if n < 1:
+        raise ValueError("n >= 1")
     for F in enumerate_closed_connected(n):
         if is_indecomposable(F):
             yield F
@@ -80,7 +84,7 @@ def random_closed(n: int, seed: int, density_bias: float = 0.5) -> IntervalFacet
     if n < 1:
         raise ValueError("n >= 1")
     if not 0.0 <= density_bias <= 1.0:
-        raise ValueError("density_bias in [0, 1]")
+        raise ValueError(f"density_bias must be in [0, 1], got {density_bias}")
     if n == 1:
         return IntervalFacets(1, ((1, 1),))
     permille = int(round(density_bias * 1000))

@@ -1,6 +1,6 @@
 """The hooks that the benchmark harness in perfbench/ reads from the program.
 
-perfbench/worker.py reports the sizes of the oracle's two module-global
+perfbench/worker.py reports the sizes of two of the oracle's module-global
 caches, and perfbench/tracing.py wraps each traced function at the module
 attribute its callers resolve.  The harness reports only what it finds, so
 a renamed cache or function would drop a declared metric without an error;
@@ -38,6 +38,7 @@ def test_tracer_finds_and_sees_every_oracle_layer(monkeypatch):
     # empty caches, so that every layer really runs whatever ran before
     monkeypatch.setattr(complexes, "_profile_cache", {})
     monkeypatch.setattr(complexes, "_cm_cache", {})
+    monkeypatch.setattr(complexes, "_pd_cache", {})
     tracer = _load("tracing").Tracer()
     try:
         tracer.install()

@@ -210,6 +210,12 @@ def test_enumerate_outputs():
     assert doc["count"] == 5
     code, out, _ = run_argv(["enumerate", "--n", "4", "--indecomposable"])
     assert json.loads(out)["count"] == 2
+    # the one-facet chain is indecomposable at n = 1 too
+    code, out, _ = run_argv(["enumerate", "--n", "1", "--indecomposable"])
+    assert code == EXIT_OK and json.loads(out)["facets_list"] == [[[1, 1]]]
+    code, out, err = run_argv(["enumerate", "--n", "5", "--random", "2", "--bias", "2.5"])
+    assert code == EXIT_BAD_INPUT and out == b""
+    assert err == b"error 1 density_bias must be in [0, 1], got 2.5\n"
     code, out, _ = run_argv(["enumerate", "--n", "4", "--facet-text"])
     assert out.startswith(b"closed 4 3\n")
     code, out, _ = run_argv(["enumerate", "--n", "6", "--random", "3", "--seed", "9"])

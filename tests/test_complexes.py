@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from edgeideals.complexes import (
     SimplicialComplex,
     _apex,
     _betti_from_faces,
+    _canonical,
     _faces_of,
     _minimal_nonfaces,
     _profile_masks,
@@ -23,7 +25,7 @@ from edgeideals.complexes import (
     link_depth,
 )
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import from_edge_list, mask_of
+from edgeideals.graphs import from_edge_list, mask_of, permute_masks
 from edgeideals.oracle import goodarzi_check
 
 from conftest import (
@@ -546,6 +548,106 @@ def test_capped_link_criteria_list_the_faces_of_the_complex_asked_about():
         with pytest.raises(ResourceCapError):
             check(points, max_faces=8)
         assert check(points, max_faces=10)
+
+
+def test_reisner_answers_a_non_pure_complex_before_any_homology():
+    # a 5-simplex beside a point has 65 faces: over the cap, yet the two
+    # facet sizes already decide Reisner's criterion
+    C = cx(7, (1, 2, 3, 4, 5, 6), (7,))
+    assert is_cm_reisner(C, max_faces=64) is False
+    with pytest.raises(ResourceCapError):
+        link_depth(C.mask_key, 64)
+
+
+@st.composite
+def relabeled(draw):
+    """A complex with ghosts, cones and disjoint pieces, its image under an
+    order-preserving embedding into a wider universe, and the reversal
+    v -> N + 1 - v of that image."""
+    C = draw(st.one_of(
+        coned(mixed_complexes(block=4, max_pieces=2)),
+        cones_over(mixed_complexes(block=3, max_pieces=2)),
+    ))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=C.n_vertices + 1, max_size=C.n_vertices + 1))
+    target = [None]
+    for v in range(1, C.n_vertices + 1):
+        target.append(v - 1 + sum(gaps[:v]))
+    N = C.n_vertices + sum(gaps)
+    wide = SimplicialComplex(N, frozenset(permute_masks(C.mask_key, target)))
+    flip = [None] + [N - v for v in range(1, N + 1)]
+    rev = SimplicialComplex(N, frozenset(permute_masks(wide.mask_key, flip)))
+    return C, wide, rev
+
+
+@contextmanager
+def _cold_caches():
+    names = ("_profile_cache", "_cm_cache", "_pd_cache")
+    saved = [getattr(complexes, name) for name in names]
+    for name in names:
+        setattr(complexes, name, {})
+    try:
+        yield
+    finally:
+        for name, cache in zip(names, saved):
+            setattr(complexes, name, cache)
+
+
+def _capped_questions(C, cap, k):
+    """Every memoised question about C at cap."""
+    return [
+        lambda: _profile_masks(C.mask_key, cap),
+        lambda: link_depth(C.mask_key, cap),
+        lambda: depth_hochster(C, max_vars=32, max_faces=cap),
+        lambda: depth_at_least(C, k, max_vars=32, max_faces=cap),
+        lambda: depth_at_least(C, k + 1, max_vars=32, max_faces=cap),
+        lambda: is_cm_reisner(C, max_faces=cap),
+        lambda: is_scm_duval(C, max_faces=cap),
+    ]
+
+
+def _answer(ask):
+    try:
+        return ask()
+    except ResourceCapError:
+        return ResourceCapError
+
+
+def _cold_answer(ask):
+    with _cold_caches():
+        return _answer(ask)
+
+
+_CAPS = (8, 16, 32, 64, 128, 256)
+
+
+@settings(max_examples=100, deadline=None)
+@example((cx(3, (1, 2), (3,)), cx(5, (1, 3), (5,)), cx(5, (1,), (3, 5))))
+@given(relabeled())
+def test_canonical_keys_share_every_memo_between_relabelings(case):
+    C, wide, rev = case
+    canon = _canonical(C.mask_key)
+    assert _canonical(canon) == canon
+    assert _canonical(wide.mask_key) == _canonical(rev.mask_key) == canon
+    depth = depth_hochster(C, max_vars=32)
+    for X in (wide, rev):
+        assert _profile_masks(X.mask_key) == _profile_masks(C.mask_key)
+        assert link_depth(X.mask_key, DEFAULT_FACE_CAP) == link_depth(C.mask_key, DEFAULT_FACE_CAP)
+        # the added ghosts raise N and pd alike
+        assert depth_hochster(X, max_vars=32) == depth
+    # each question asked with empty memos, then all of them in a row after
+    # the uncapped ones, so that later questions read what earlier ones left
+    cold = {
+        (X, cap): [_cold_answer(ask) for ask in _capped_questions(X, cap, depth)]
+        for X in (C, wide, rev) for cap in _CAPS
+    }
+    assert all(cold[X, cap] == cold[C, cap] for X in (wide, rev) for cap in _CAPS)
+    with _cold_caches():
+        for X in (C, wide, rev):
+            for ask in _capped_questions(X, DEFAULT_FACE_CAP, depth):
+                _answer(ask)
+        for X in (C, wide, rev):
+            for cap in _CAPS:
+                assert [_answer(ask) for ask in _capped_questions(X, cap, depth)] == cold[C, cap], cap
 
 
 def test_depth_simple_cases():

@@ -53,6 +53,8 @@ def test_small_explicit_streams():
     }
     assert [F.facets for F in enumerate_closed_indecomposable(3)] == [((1, 3),)]
     assert [F.facets for F in enumerate_closed_indecomposable(2)] == [((1, 2),)]
+    # one facet is indecomposable vacuously, at n = 1 as at every other n
+    assert [F.facets for F in enumerate_closed_indecomposable(1)] == [((1, 1),)]
 
 
 def test_streams_match_bruteforce_and_counts():
@@ -102,6 +104,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         list(enumerate_closed_connected(0))
     with pytest.raises(ValueError):
-        list(enumerate_closed_indecomposable(1))
-    with pytest.raises(ValueError):
-        random_closed(3, 0, density_bias=2.0)
+        list(enumerate_closed_indecomposable(0))
+    with pytest.raises(ValueError, match=r"^density_bias must be in \[0, 1\], got 2.5$"):
+        random_closed(3, 0, density_bias=2.5)

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 import edgeideals
+from edgeideals import complexes
 from edgeideals.classify import classify_facets
 from edgeideals.closed import IntervalFacets, reverse_facets
 from edgeideals.complexes import (
@@ -168,6 +169,26 @@ def test_oracle_sweeps_depth_once_per_distinct_truncation(monkeypatch):
         ]
         assert swept == truncations[:len(swept)], F.facets
         assert len(swept) == len(truncations) or not rep.scm_goodarzi, F.facets
+
+
+def test_reversed_chain_reads_the_depth_sweep_of_its_pair(monkeypatch):
+    # the oracle complexes of F and rev F share one canonical key, so the
+    # second call reads the pd of the whole complex from the memo; only
+    # Goodarzi's yes/no questions on smaller truncations may still sweep
+    swept = []
+    real = complexes._pd_records
+
+    def counted(facets_key, floor, max_faces):
+        swept.append(facets_key)
+        return real(facets_key, floor, max_faces)
+
+    monkeypatch.setattr(complexes, "_pd_records", counted)
+    for F in _closed_n6():
+        R = reverse_facets(F)
+        rep = oracle_classify_facets(F)
+        swept.clear()
+        assert oracle_classify_facets(R) == rep, F.facets
+        assert complexes._canonical(oracle_complex(R).mask_key) not in swept, F.facets
 
 
 def test_standalone_goodarzi_matches_the_oracle_n6():
