@@ -248,6 +248,8 @@ def _cmd_enumerate(config: RunConfig) -> bytes:
             raise ResourceCapError(
                 f"random enumeration capped at COUNT <= {RANDOM_COUNT_CAP} (got COUNT = {count})"
             )
+        if config.indecomposable:
+            raise GraphInputError("--indecomposable lists chains exhaustively; it cannot take --random")
         chains = [random_closed(n, config.seed + k, config.bias) for k in range(count)]
     elif n > ENUMERATE_CAP:
         raise ResourceCapError(

@@ -76,9 +76,8 @@ restricts the local facet list directly.  The components are flooded
 through the same `graphs.union_table` and `graphs.components` that the
 exhaustive cut-set sweep uses, all of them before any homology: each takes
 off at least 1, so a subset whose size minus its component count cannot
-beat the best contribution is skipped.  `depth_at_least` asks the yes/no
-question "depth >= k" of the same sweep, started from the floor that
-depth k allows and stopped at the first subset above it.
+beat the best contribution is skipped.  Each complex is swept once per
+face cap: `depth_hochster` is the only entry, and `_pd_cache` keeps its pd.
 
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `facet_truncations` walks
@@ -487,21 +486,9 @@ def check_var_cap(numvars: int, max_vars: int) -> None:
         raise ResourceCapError(f"depth sweep capped at {max_vars} variables (got {numvars})")
 
 
-def _checked_ghosts(C: SimplicialComplex, max_vars: int) -> int:
-    """Universe vertices in no facet, counted after the variable cap and the
-    void check, so that both come before any table is built."""
-    check_var_cap(C.n_vertices, max_vars)
-    if C.is_void:
-        raise ValueError("void complex corresponds to the unit ideal")
-    return C.n_vertices - C.support_mask().bit_count()
-
-
-def _pd_records(facets_key: frozenset[int], floor: int, max_faces: int):
-    """Yield each contribution to the projective dimension that beats the
-    best one so far, starting from floor, in the sweep order of
-    `depth_hochster`.  Nothing is yielded when no sigma beats floor;
-    otherwise the last value is the pd of the face ring of the support of
-    the complex with the given facets.
+def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
+    """The pd of the face ring of the support of the complex with the given
+    facets, by the sweep `depth_hochster` describes.
 
     Everything runs in local coordinates on the vertices of the minimal
     nonfaces: the nonfaces, the lattice, the table and the facets, which
@@ -531,10 +518,10 @@ def _pd_records(facets_key: frozenset[int], floor: int, max_faces: int):
         by_size[s.bit_count()].append(s)
 
     dmin_memo: dict[int, int | None] = {}
-    best_pd = floor
+    best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
     for size in range(len(verts), 0, -1):
         if best_pd >= size - 1:
-            return
+            break
         for sigma in by_size[size]:
             parts = list(components(nb, sigma))
             cand = size - len(parts)  # the 1 of each d_j + 1 taken off here
@@ -553,7 +540,7 @@ def _pd_records(facets_key: frozenset[int], floor: int, max_faces: int):
                     break  # the remaining parts only lower it further
             else:
                 best_pd = cand
-                yield cand
+    return best_pd
 
 
 # pd of the face ring of the support, per (canonical facets, face cap)
@@ -588,49 +575,21 @@ def depth_hochster(
     as they are: the vertices dropped lie in every facet and in no
     component.  All parts are flooded first, and sigma is skipped without
     homology when |sigma| - c(sigma), with c(sigma) its number of parts,
-    is at most the best contribution so far (the floor, which starts at 0
-    for sigma = {}).  The table, 2^m entries for the m vertices of the
-    minimal nonfaces, and the lattice are built only after the variable cap
-    is checked.  The sweep runs on the canonical complex (`_canonical`),
-    and its pd is memoised in `_pd_cache` per (canonical facets, face cap),
-    so every isomorphic copy, such as the reversal of an oracle complex,
-    reads it from there.
+    is at most the best contribution so far (0, from sigma = {}, at the
+    start).  The table, 2^m entries for the m vertices of the minimal
+    nonfaces, and the lattice are built only after the variable cap is
+    checked.  The sweep runs on the canonical complex (`_canonical`), and
+    its pd is memoised in `_pd_cache` per (canonical facets, face cap), so
+    every isomorphic copy, such as the reversal of an oracle complex, reads
+    it from there, and so do the oracle's questions about the same facet
+    truncation.
     """
-    ghosts = _checked_ghosts(C, max_vars)
+    check_var_cap(C.n_vertices, max_vars)
+    if C.is_void:
+        raise ValueError("void complex corresponds to the unit ideal")
     canon = _canonical(C.mask_key)
     pd = _pd_cache.get((canon, max_faces))
     if pd is None:
-        pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-        for pd in _pd_records(canon, 0, max_faces):
-            pass
-        _pd_cache[(canon, max_faces)] = pd
-    return C.n_vertices - (pd + ghosts)
+        pd = _pd_cache[(canon, max_faces)] = _pd_sweep(canon, max_faces)
+    return C.support_mask().bit_count() - pd
 
-
-def depth_at_least(
-    C: SimplicialComplex,
-    k: int,
-    *,
-    max_vars: int = DEFAULT_VAR_CAP,
-    max_faces: int = DEFAULT_FACE_CAP,
-) -> bool:
-    """Whether depth_hochster(C) >= k, by the same sweep with a floor.
-
-    depth >= k means that no sigma contributes more than the floor
-    N - k - ghosts, so the sweep starts with that floor as its best
-    contribution: it skips every sigma whose |sigma| - c(sigma) is at most
-    the floor, and the answer is False at the first sigma above it.  A
-    negative floor is False before any table is built (but after the
-    variable cap and the void check).  A pd already in `_pd_cache`
-    answers at once; otherwise the floor sweep runs, unmemoised, on the
-    canonical complex.  It computes a subset of the profiles that the full
-    sweep computes, so reading the cached pd cannot hide a cap error.
-    """
-    floor = C.n_vertices - k - _checked_ghosts(C, max_vars)
-    if floor < 0:
-        return False
-    canon = _canonical(C.mask_key)
-    pd = _pd_cache.get((canon, max_faces))
-    if pd is not None:
-        return pd <= floor
-    return next(_pd_records(canon, floor, max_faces), None) is None

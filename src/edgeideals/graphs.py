@@ -92,6 +92,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"vertex count must be an int, got {self.n!r}")
         if not 0 <= self.n <= MAX_VERTICES:
             raise GraphInputError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n + 1:
@@ -112,6 +114,8 @@ class Graph:
 
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates are merged."""
+    if not isinstance(n, int):
+        raise TypeError(f"vertex count must be an int, got {n!r}")
     if not 1 <= n <= MAX_VERTICES:
         raise GraphInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
     adj = [0] * (n + 1)

@@ -12,14 +12,14 @@ Sequential CM-ness is decided twice, by two independent code paths.
 Duval's criterion runs in link form: for each i, the subcomplex generated
 by the facets with more than i vertices must have no reduced homology in
 any face link below degree i - |face|.  Goodarzi's filtration criterion
-asks the same subcomplexes for depth >= i + 1, decided by the Hochster
+asks the same subcomplexes for depth >= i + 1, read off the Hochster
 sweep over the unions of minimal nonfaces, which never looks at links.
 Both ask once per distinct facet size, since the subcomplex only changes
-there; Goodarzi reuses the oracle's depth of the whole complex and asks
-each smaller subcomplex only the yes/no question `depth_at_least`.
-Likewise the link depth behind Reisner's CM verdict is checked against
-the Hochster depth: depth == 1 + min(link depth, dim) (Smith 1990), which
-implies Reisner's verdict agrees with depth == dim (Auslander-Buchsbaum).
+there, and each reads one memoised integer per subcomplex: its link depth
+or its Hochster depth.  The two are checked against each other on every
+such subcomplex: depth == 1 + min(link depth, dim) (Smith 1990).  On the
+whole complex this implies that Reisner's verdict agrees with
+depth == dim (Auslander-Buchsbaum).
 
 The oracle certifies invariants of the initial ideal.  Depth, dimension,
 CM-ness and almost-CM-ness carry over to the binomial ideal by the transfer
@@ -41,7 +41,6 @@ from .complexes import (
     DEFAULT_VAR_CAP,
     SimplicialComplex,
     check_var_cap,
-    depth_at_least,
     depth_hochster,
     facet_truncations,
     is_cm_reisner,
@@ -119,7 +118,6 @@ def goodarzi_check(
     *,
     max_vars: int = DEFAULT_VAR_CAP,
     max_faces: int = DEFAULT_FACE_CAP,
-    depth_of_complex: int | None = None,
 ) -> bool:
     """Filtration criterion for sequential CM-ness on the monomial side.
 
@@ -129,27 +127,16 @@ def goodarzi_check(
     is sequentially CM iff that quotient has depth >= i + 1 for every
     0 <= i <= dim C, in the ring with one variable per vertex of C's universe.
 
-    Each subcomplex of `facet_truncations` costs one depth sweep, and
-    depth >= s there covers every i it stands for.  The first one is C
-    itself, whose depth the oracle has already computed and passes as
-    depth_of_complex.  Every truncation whose depth is not given only asks
-    the yes/no question `depth_at_least(sub, s)`: its sweep starts from the
-    floor numvars - s - ghosts, skips each sigma whose |sigma| minus its
-    number of parts is at most that floor, and stops at the first sigma
-    above it.
+    Each subcomplex of `facet_truncations` asks `depth_hochster` once, and
+    depth >= s there covers every i it stands for; the complex {emptyset}
+    has depth 0 >= 0.  The depth is memoised per canonical complex, so the
+    oracle's own questions about the same truncations cost one lookup.
     """
-    depth = depth_of_complex  # C is the truncation at the smallest facet size
-    for s, kept in facet_truncations(C):
-        if s == 0:
-            continue  # the complex {emptyset}: dim -1 leaves no i to check
-        if depth is None:
-            sub = SimplicialComplex(C.n_vertices, kept)
-            if not depth_at_least(sub, s, max_vars=max_vars, max_faces=max_faces):
-                return False
-        elif depth < s:
-            return False
-        depth = None  # every later truncation is a proper subcomplex of C
-    return True
+    n = C.n_vertices
+    return all(
+        depth_hochster(SimplicialComplex(n, kept), max_vars=max_vars, max_faces=max_faces) >= s
+        for s, kept in facet_truncations(C)
+    )
 
 
 def oracle_complex(F: IntervalFacets) -> SimplicialComplex:
@@ -167,10 +154,14 @@ def oracle_classify_facets(
     depth = depth_hochster(C, max_vars=max_vars, max_faces=max_faces)
     cm = is_cm_reisner(C, max_faces=max_faces)
     scm = is_scm_duval(C, max_faces=max_faces)
-    # memoised by both criteria: the t-skeleton is CM exactly for t <= link depth
-    if depth != 1 + min(link_depth(C.mask_key, max_faces), C.dim):
-        raise AssertionError("link depth and Hochster depth disagree; engine bug")
-    goo = goodarzi_check(C, max_vars=max_vars, max_faces=max_faces, depth_of_complex=depth)
+    # Smith 1990 on every truncation, C first: the t-skeleton is CM exactly
+    # for t <= link depth; both sides are memoised for the criteria
+    for _, kept in facet_truncations(C):
+        sub = SimplicialComplex(C.n_vertices, kept)
+        sub_depth = depth_hochster(sub, max_vars=max_vars, max_faces=max_faces)
+        if sub_depth != 1 + min(link_depth(kept, max_faces), sub.dim):
+            raise AssertionError("link depth and Hochster depth disagree; engine bug")
+    goo = goodarzi_check(C, max_vars=max_vars, max_faces=max_faces)
     almost = depth >= dim_quotient - 1
     return OracleReport(
         dim_quotient=dim_quotient,

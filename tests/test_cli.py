@@ -216,6 +216,11 @@ def test_enumerate_outputs():
     code, out, err = run_argv(["enumerate", "--n", "5", "--random", "2", "--bias", "2.5"])
     assert code == EXIT_BAD_INPUT and out == b""
     assert err == b"error 1 density_bias must be in [0, 1], got 2.5\n"
+    # random chains are drawn without the indecomposability filter, so the
+    # combination is refused instead of ignoring --indecomposable
+    code, out, err = run_argv(["enumerate", "--n", "8", "--random", "5", "--indecomposable"])
+    assert code == EXIT_BAD_INPUT and out == b""
+    assert err == b"error 1 --indecomposable lists chains exhaustively; it cannot take --random\n"
     code, out, _ = run_argv(["enumerate", "--n", "4", "--facet-text"])
     assert out.startswith(b"closed 4 3\n")
     code, out, _ = run_argv(["enumerate", "--n", "6", "--random", "3", "--seed", "9"])

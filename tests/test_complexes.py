@@ -18,7 +18,6 @@ from edgeideals.complexes import (
     _profile_masks,
     _prune_to_maximal,
     _skeleton_join_profile,
-    depth_at_least,
     depth_hochster,
     is_cm_reisner,
     is_scm_duval,
@@ -231,8 +230,7 @@ def test_duval_link_form_matches_pure_skeleton_reference(C):
 @given(mixed_complexes(block=4, max_pieces=2))
 def test_goodarzi_matches_duval(C):
     # both criteria walk the same facet truncations, each with its own homology
-    depth = depth_hochster(C)
-    assert goodarzi_check(C) == goodarzi_check(C, depth_of_complex=depth) == is_scm_duval(C)
+    assert goodarzi_check(C) == is_scm_duval(C)
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,21 +498,10 @@ def test_minimal_nonfaces_match_definition(C):
 @example(cx(4, (1, 2), (2, 3), (1, 3), (3, 4)))
 @example(cx(6, (1, 2), (2, 3), (1, 3), (3, 4), (5,)))
 @example(simplex_boundary(3))                    # one nonface, of size 4
+@example(cx(6, (1, 2, 3, 4, 5)))                 # simplex beside a ghost: depth 6
 @given(_depth_cases)
 def test_depth_matches_all_subsets_reference(C):
     assert depth_hochster(C) == depth_hochster_ref(C)
-
-
-@settings(max_examples=200, deadline=None)
-@example(cx(3, ()))                    # {emptyset}: depth 0
-@example(cx(6, (1, 2, 3, 4, 5)))       # simplex beside a ghost: depth 6
-@example(cx(4, (1, 2), (3, 4)))        # two disjoint edges: depth 1
-@example(simplex_boundary(3))
-@given(_depth_cases)
-def test_depth_at_least_answers_the_depth_question(C):
-    depth = depth_hochster(C)
-    for k in range(C.n_vertices + 2):
-        assert depth_at_least(C, k) is (depth >= k), k
 
 
 def test_caps_do_not_depend_on_call_history():
@@ -592,14 +579,13 @@ def _cold_caches():
             setattr(complexes, name, cache)
 
 
-def _capped_questions(C, cap, k):
+def _capped_questions(C, cap):
     """Every memoised question about C at cap."""
     return [
         lambda: _profile_masks(C.mask_key, cap),
         lambda: link_depth(C.mask_key, cap),
         lambda: depth_hochster(C, max_vars=32, max_faces=cap),
-        lambda: depth_at_least(C, k, max_vars=32, max_faces=cap),
-        lambda: depth_at_least(C, k + 1, max_vars=32, max_faces=cap),
+        lambda: goodarzi_check(C, max_vars=32, max_faces=cap),
         lambda: is_cm_reisner(C, max_faces=cap),
         lambda: is_scm_duval(C, max_faces=cap),
     ]
@@ -637,17 +623,17 @@ def test_canonical_keys_share_every_memo_between_relabelings(case):
     # each question asked with empty memos, then all of them in a row after
     # the uncapped ones, so that later questions read what earlier ones left
     cold = {
-        (X, cap): [_cold_answer(ask) for ask in _capped_questions(X, cap, depth)]
+        (X, cap): [_cold_answer(ask) for ask in _capped_questions(X, cap)]
         for X in (C, wide, rev) for cap in _CAPS
     }
     assert all(cold[X, cap] == cold[C, cap] for X in (wide, rev) for cap in _CAPS)
     with _cold_caches():
         for X in (C, wide, rev):
-            for ask in _capped_questions(X, DEFAULT_FACE_CAP, depth):
+            for ask in _capped_questions(X, DEFAULT_FACE_CAP):
                 _answer(ask)
         for X in (C, wide, rev):
             for cap in _CAPS:
-                assert [_answer(ask) for ask in _capped_questions(X, cap, depth)] == cold[C, cap], cap
+                assert [_answer(ask) for ask in _capped_questions(X, cap)] == cold[C, cap], cap
 
 
 def test_depth_simple_cases():

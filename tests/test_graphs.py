@@ -64,6 +64,15 @@ def test_graph_refuses_an_adjacency_of_the_wrong_length():
     assert Graph(2, (0, 0b10, 0b01)).edges() == ((1, 2),)
 
 
+def test_graph_refuses_a_vertex_count_that_is_not_an_int():
+    # a float count would pass the range check and fail later, in edges()
+    # or in the adjacency list's length
+    with pytest.raises(TypeError, match="vertex count must be an int, got 2.0"):
+        Graph(2.0, (0, 2, 1))
+    with pytest.raises(TypeError, match="vertex count must be an int, got 2.5"):
+        from_edge_list(2.5, [])
+
+
 def test_seven_vertex_example_edges(seven_graph):
     # union of the interval cliques [1,3],[2,5],[3,6],[5,7]
     assert num_edges(seven_graph) == 13

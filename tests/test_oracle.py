@@ -13,6 +13,7 @@ from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
     depth_hochster,
+    facet_truncations,
     is_cm_reisner,
     is_scm_duval,
     link_depth,
@@ -131,6 +132,21 @@ def test_oracle_checks_link_depth_against_hochster_depth(monkeypatch, shift, F):
         oracle_classify_facets(F)
 
 
+@pytest.mark.parametrize("F", [IntervalFacets(4, ((1, 3), (2, 4))), SEVEN_NOT_SCM])
+def test_oracle_checks_link_depth_against_hochster_depth_on_every_truncation(monkeypatch, F):
+    # the whole complex keeps its link depth; one lower on the proper
+    # truncations alone must already break Smith's identity there
+    import edgeideals.oracle as oracle_mod
+
+    whole = oracle_complex(F).mask_key
+    assert len({m.bit_count() for m in whole}) > 1
+    real = oracle_mod.link_depth
+    monkeypatch.setattr(oracle_mod, "link_depth",
+                        lambda key, cap: real(key, cap) - (key != whole))
+    with pytest.raises(AssertionError, match="link depth and Hochster depth disagree"):
+        oracle_classify_facets(F)
+
+
 def test_void_complex_is_rejected_by_every_criterion():
     void = SimplicialComplex(3, frozenset())
     for check in (is_cm_reisner, is_scm_duval, depth_hochster, goodarzi_check):
@@ -144,51 +160,43 @@ def _closed_n6():
 
 
 def test_oracle_sweeps_depth_once_per_distinct_truncation(monkeypatch):
-    # the oracle sweeps the complex itself; Goodarzi reuses that depth and
-    # sweeps each further facet-size truncation once, by increasing size,
-    # up to the first one that fails, through either depth entry
-    import edgeideals.oracle as oracle_mod
-
+    # the oracle, its Smith check and Goodarzi read one memoised depth per
+    # facet-size truncation, so each canonical key is swept at most once in
+    # a process, and every truncation's pd is in the memo afterwards
     swept = []
+    real = complexes._pd_sweep
 
-    def counted(real):
-        def sweep(C, *args, **kwargs):
-            swept.append(C.mask_key)
-            return real(C, *args, **kwargs)
-        return sweep
+    def counted(facets_key, max_faces):
+        swept.append((facets_key, max_faces))
+        return real(facets_key, max_faces)
 
-    for name in ("depth_hochster", "depth_at_least"):
-        monkeypatch.setattr(oracle_mod, name, counted(getattr(oracle_mod, name)))
+    monkeypatch.setattr(complexes, "_pd_sweep", counted)
+    monkeypatch.setattr(complexes, "_pd_cache", {})
     for F in [*_closed_n6(), SEVEN_NOT_SCM, SEVEN_ALMOST]:
-        swept.clear()
-        rep = oracle_classify_facets(F)
-        key = oracle_complex(F).mask_key
-        truncations = [
-            frozenset(m for m in key if m.bit_count() >= s)
-            for s in sorted({m.bit_count() for m in key})
-        ]
-        assert swept == truncations[:len(swept)], F.facets
-        assert len(swept) == len(truncations) or not rep.scm_goodarzi, F.facets
+        oracle_classify_facets(F)
+        for _, kept in facet_truncations(oracle_complex(F)):
+            assert (complexes._canonical(kept), DEFAULT_FACE_CAP) in complexes._pd_cache, F.facets
+    assert len(swept) == len(set(swept))
+    assert all(complexes._canonical(key) == key for key, _ in swept)
 
 
 def test_reversed_chain_reads_the_depth_sweep_of_its_pair(monkeypatch):
-    # the oracle complexes of F and rev F share one canonical key, so the
-    # second call reads the pd of the whole complex from the memo; only
-    # Goodarzi's yes/no questions on smaller truncations may still sweep
+    # the truncations of the oracle complexes of F and rev F share their
+    # canonical keys, so the second call reads every pd from the memo
     swept = []
-    real = complexes._pd_records
+    real = complexes._pd_sweep
 
-    def counted(facets_key, floor, max_faces):
+    def counted(facets_key, max_faces):
         swept.append(facets_key)
-        return real(facets_key, floor, max_faces)
+        return real(facets_key, max_faces)
 
-    monkeypatch.setattr(complexes, "_pd_records", counted)
+    monkeypatch.setattr(complexes, "_pd_sweep", counted)
     for F in _closed_n6():
         R = reverse_facets(F)
         rep = oracle_classify_facets(F)
         swept.clear()
         assert oracle_classify_facets(R) == rep, F.facets
-        assert complexes._canonical(oracle_complex(R).mask_key) not in swept, F.facets
+        assert swept == [], F.facets
 
 
 def test_standalone_goodarzi_matches_the_oracle_n6():
