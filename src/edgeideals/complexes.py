@@ -53,11 +53,11 @@ the bit-reversal of that, whichever sorts first.  Complexes isomorphic by
 an order-preserving or order-reversing map of their supports share one
 entry: the depth sweep's restrictions in local coordinates and the same
 subcomplexes met by the link recursion in global masks, or the oracle
-complexes of a facet chain and of its reversal.  The profile and
-link-depth memos also store each raw key they were asked about, so a
-repeated question costs one lookup; `_pd_cache` holds canonical keys only.
-A call's answer, or its ResourceCapError, is thus a function of the
-canonical key and the cap, not of the calls made before it.
+complexes of a facet chain and of its reversal.  Each memo holds
+canonical keys only: a question is canonicalized on entry (the link-depth
+memo after stripping a cone) and then looked up once.  A call's answer,
+or its ResourceCapError, is thus a function of the canonical key and the
+cap, not of the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -68,8 +68,8 @@ are closed up one nonface at a time, and the sweep visits them by
 descending size, stopping as soon as smaller subsets cannot beat the best
 contribution found.  A restriction is the join of its restrictions to the
 connected components of the 2-section graph of the minimal nonfaces inside
-the subset, so the sweep computes homology per component, with
-memoization, and adds the degrees.  The facets are relabeled once into
+the subset, so the sweep computes homology per component, through the
+profile memo, and adds the degrees.  The facets are relabeled once into
 local coordinates on the vertices of the minimal nonfaces: every other
 vertex lies in every facet and in no component, so each component
 restricts the local facet list directly.  The components are flooded
@@ -326,6 +326,9 @@ def _betti_from_faces(faces: set[int]) -> dict[int, int]:
     return out
 
 
+_BIT_REVERSE = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _canonical(facets_key: frozenset[int]) -> frozenset[int]:
     """One representative of the facet masks up to packing and reversal.
 
@@ -346,7 +349,14 @@ def _canonical(facets_key: frozenset[int]) -> frozenset[int]:
             target[b + 1] = k
         masks = permute_masks(masks, target)
     masks.sort()
-    flipped = sorted(int(format(m, f"0{w}b")[::-1], 2) for m in masks)
+    # reverse each mask's bytes bit by bit, read them in the other byte
+    # order, and drop the 8 * nbytes - w padding bits
+    nbytes = (w + 7) >> 3
+    pad = 8 * nbytes - w
+    flipped = sorted([
+        int.from_bytes(m.to_bytes(nbytes, "little").translate(_BIT_REVERSE), "big") >> pad
+        for m in masks
+    ])
     return frozenset(min(masks, flipped))
 
 
@@ -357,15 +367,11 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets,
-    computed on its canonical form and memoised under both keys."""
+    computed on its canonical form and memoised under it."""
+    facets_key = _canonical(facets_key)
     hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
-    canon = _canonical(facets_key)
-    if canon != facets_key:
-        result = _profile_masks(canon, cap)
-        _profile_cache[(facets_key, cap)] = result
-        return result
     faces = _faces_of(facets_key, cap)
     # reduced Euler characteristic of the complex before the collapses
     euler_faces = 2 * sum(f.bit_count() & 1 for f in faces) - len(faces)
@@ -403,8 +409,7 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     most the smallest facet size minus 1.  The empty face gives the lowest
     nonzero degree of the complex itself, and the faces through a vertex v
     give 1 + the link depth of lk v, because links of links are links.
-    Memoised on (facets, cap) for complexes without a cone point, computed
-    on the canonical form and stored under both keys.
+    Memoised on (canonical facets, cap) for complexes without a cone point.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
     B = {f - A}, has link depth(B) + |A|: a face sigma not containing A has
@@ -414,14 +419,11 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     apex = _apex(facets_key)
     if apex:
         return link_depth(frozenset(f & ~apex for f in facets_key), cap) + apex.bit_count()
+    facets_key = _canonical(facets_key)
     key = (facets_key, cap)
     hit = _cm_cache.get(key)
     if hit is not None:
         return hit
-    canon = _canonical(facets_key)
-    if canon != facets_key:
-        result = _cm_cache[key] = link_depth(canon, cap)
-        return result
     support = union_of(facets_key)
     # when K is acyclic, the facets' links give less than this default
     result = min(_profile_masks(facets_key, cap), default=support.bit_count())
@@ -517,7 +519,6 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
     for s in sorted(lattice):
         by_size[s.bit_count()].append(s)
 
-    dmin_memo: dict[int, int | None] = {}
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
     for size in range(len(verts), 0, -1):
         if best_pd >= size - 1:
@@ -528,14 +529,10 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
             if cand <= best_pd:
                 continue
             for cc in parts:
-                if cc in dmin_memo:
-                    d = dmin_memo[cc]
-                else:
-                    nz = _profile_masks(_prune_to_maximal(f & cc for f in local_facets), max_faces)
-                    d = dmin_memo[cc] = min(nz) if nz else None
-                if d is None:
+                nz = _profile_masks(_prune_to_maximal(f & cc for f in local_facets), max_faces)
+                if not nz:
                     break
-                cand -= d
+                cand -= min(nz)
                 if cand <= best_pd:
                     break  # the remaining parts only lower it further
             else:
@@ -570,19 +567,19 @@ def depth_hochster(
     to the components of the 2-section graph of the minimal nonfaces inside
     sigma, flooded through nb (the `union_table` of that graph), so it
     contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
-    of component j.  d_j is memoised per component and read off the facets
-    relabeled into the same local coordinates, restricted to the component
-    as they are: the vertices dropped lie in every facet and in no
-    component.  All parts are flooded first, and sigma is skipped without
-    homology when |sigma| - c(sigma), with c(sigma) its number of parts,
-    is at most the best contribution so far (0, from sigma = {}, at the
-    start).  The table, 2^m entries for the m vertices of the minimal
-    nonfaces, and the lattice are built only after the variable cap is
-    checked.  The sweep runs on the canonical complex (`_canonical`), and
-    its pd is memoised in `_pd_cache` per (canonical facets, face cap), so
-    every isomorphic copy, such as the reversal of an oracle complex, reads
-    it from there, and so do the oracle's questions about the same facet
-    truncation.
+    of component j.  d_j is read off the facets relabeled into the same
+    local coordinates, restricted to the component as they are (the
+    vertices dropped lie in every facet and in no component); a component
+    met again is a `_profile_cache` hit.  All parts are flooded first, and
+    sigma is skipped without homology when |sigma| - c(sigma), with
+    c(sigma) its number of parts, is at most the best contribution so far
+    (0, from sigma = {}, at the start).  The table, 2^m entries for the m
+    vertices of the minimal nonfaces, and the lattice are built only after
+    the variable cap is checked.  The sweep runs on the canonical complex
+    (`_canonical`), and its pd is memoised in `_pd_cache` per (canonical
+    facets, face cap), so every isomorphic copy, such as the reversal of an
+    oracle complex, reads it from there, and so do the oracle's questions
+    about the same facet truncation.
     """
     check_var_cap(C.n_vertices, max_vars)
     if C.is_void:

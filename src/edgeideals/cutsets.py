@@ -152,6 +152,8 @@ def is_unmixed(records) -> bool:
 def filtration_components(records, i: int) -> tuple[CutSetRecord, ...]:
     """Records with dim > i: the components surviving in the i-th filtration ideal."""
     recs = sorted(records, key=CutSetRecord.sort_key)
+    if not recs:
+        raise ValueError("need at least the empty cut set")
     top = max(r.dim for r in recs)
     if not -1 <= i <= top - 1:
         raise ValueError(f"filtration index {i} outside -1..{top - 1}")

@@ -29,7 +29,16 @@ from edgeideals.complexes import (
 from edgeideals.cutsets import CutSetRecord
 from edgeideals.enumerators import random_closed
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import Graph, _bron_kerbosch, bits, from_edge_list, mask_of, vertices_of
+from edgeideals.graphs import (
+    Graph,
+    _bron_kerbosch,
+    bits,
+    from_edge_list,
+    mask_of,
+    permute_masks,
+    union_of,
+    vertices_of,
+)
 
 
 # The four showcase facet sequences exercised throughout the suite.
@@ -157,6 +166,22 @@ def permute_masks_ref(masks, target) -> list[int]:
         out.append(acc)
     return out
 
+
+
+def canonical_ref(facets_key: frozenset[int]) -> frozenset[int]:
+    """Reference `complexes._canonical`: the support packed onto its low
+    bits in order, then each mask reversed within w bits as a binary string."""
+    support = union_of(facets_key)
+    w = support.bit_count()
+    masks = list(facets_key)
+    if support & (support + 1):  # not of the form 2^w - 1
+        target = [None] * (support.bit_length() + 1)
+        for k, b in enumerate(bits(support)):
+            target[b + 1] = k
+        masks = permute_masks(masks, target)
+    masks.sort()
+    flipped = sorted(int(format(m, f"0{w}b")[::-1], 2) for m in masks)
+    return frozenset(min(masks, flipped))
 
 
 def parse_edge_list_ref(text: str) -> Graph:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from edgeideals import complexes
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
+    MAX_VAR_CAP,
     SimplicialComplex,
     _apex,
     _betti_from_faces,
@@ -23,12 +24,14 @@ from edgeideals.complexes import (
     is_scm_duval,
     link_depth,
 )
+from edgeideals.enumerators import enumerate_closed_connected
 from edgeideals.errors import ResourceCapError
-from edgeideals.graphs import from_edge_list, mask_of, permute_masks
-from edgeideals.oracle import goodarzi_check
+from edgeideals.graphs import bits, from_edge_list, mask_of, permute_masks
+from edgeideals.oracle import goodarzi_check, oracle_classify_facets
 
 from conftest import (
     boundary_matrices,
+    canonical_ref,
     depth_hochster_ref,
     induced_subcomplex,
     is_cm_reisner_ref,
@@ -556,6 +559,18 @@ def relabeled(draw):
         cones_over(mixed_complexes(block=3, max_pieces=2)),
     ))
     gaps = draw(st.lists(st.integers(0, 2), min_size=C.n_vertices + 1, max_size=C.n_vertices + 1))
+    # the depth sweep takes at most MAX_VAR_CAP variables, so the gaps
+    # together add at most MAX_VAR_CAP - n vertices
+    room = MAX_VAR_CAP - C.n_vertices
+    for k, gap in enumerate(gaps):
+        gaps[k] = min(gap, room)
+        room -= gaps[k]
+    return _widened(C, gaps)
+
+
+def _widened(C, gaps):
+    """(C, its image with gaps[v - 1] new vertices before each vertex v and
+    gaps[n] after the last, the reversal of that image)."""
     target = [None]
     for v in range(1, C.n_vertices + 1):
         target.append(v - 1 + sum(gaps[:v]))
@@ -608,6 +623,8 @@ _CAPS = (8, 16, 32, 64, 128, 256)
 
 @settings(max_examples=100, deadline=None)
 @example((cx(3, (1, 2), (3,)), cx(5, (1, 3), (5,)), cx(5, (1,), (3, 5))))
+# widened to the full MAX_VAR_CAP = 32 variables
+@example(_widened(SimplicialComplex(12, frozenset({1025, 1040, 1280})), [2] * 10 + [0] * 3))
 @given(relabeled())
 def test_canonical_keys_share_every_memo_between_relabelings(case):
     C, wide, rev = case
@@ -634,6 +651,47 @@ def test_canonical_keys_share_every_memo_between_relabelings(case):
         for X in (C, wide, rev):
             for cap in _CAPS:
                 assert [_answer(ask) for ask in _capped_questions(X, cap)] == cold[C, cap], cap
+
+
+def test_every_memo_keeps_canonical_keys_only():
+    with _cold_caches():
+        for n in range(1, 7):
+            for F in enumerate_closed_connected(n):
+                oracle_classify_facets(F)
+        memos = (complexes._profile_cache, complexes._cm_cache, complexes._pd_cache)
+        assert all(memos)
+        for memo in memos:
+            for facets_key, _ in memo:
+                assert _canonical(facets_key) == facets_key
+
+
+@st.composite
+def spread_families(draw):
+    """Facet families whose support has 0..40 vertices, spread over bits
+    0..47, so the packing step and masks of 0..5 bytes all occur."""
+    w = draw(st.integers(0, 40))
+    spots = sorted(draw(st.sets(st.integers(0, 47), min_size=w, max_size=w)))
+    local = draw(st.lists(st.integers(0, (1 << w) - 1), max_size=8))
+    return frozenset(sum(1 << spots[k] for k in bits(m)) for m in local)
+
+
+def _split_family(w, shift):
+    """A vertex and the other w - 1 vertices of a support of w vertices
+    starting at bit shift: reversal moves the lone vertex to the far end."""
+    return frozenset({1 << shift, ((1 << w) - 2) << shift})
+
+
+@settings(max_examples=300, deadline=None)
+@example(frozenset())
+@example(frozenset({0}))
+@example(_split_family(8, 0))
+@example(_split_family(16, 3))
+@example(_split_family(32, 0))
+@example(_split_family(32, 9))
+@example(frozenset({0b1011 << 28, 1 << 40}))
+@given(spread_families())
+def test_canonical_matches_string_reversal_reference(family):
+    assert _canonical(family) == canonical_ref(family)
 
 
 def test_depth_simple_cases():

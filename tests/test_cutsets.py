@@ -141,6 +141,13 @@ def test_filtration_components():
         filtration_components(recs, 5)
 
 
+def test_filtration_components_refuses_an_empty_collection():
+    # every record collection of a graph holds the empty cut set
+    for i in (-1, 0):
+        with pytest.raises(ValueError, match="need at least the empty cut set"):
+            filtration_components([], i)
+
+
 def test_record_sorting_is_canonical(seven_graph):
     recs = cutsets_bruteforce(seven_graph)
     assert list(recs) == sorted(recs, key=CutSetRecord.sort_key)
