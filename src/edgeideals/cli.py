@@ -67,7 +67,7 @@ class RunConfig:
 
 def _detect_and_parse(data: bytes) -> Graph:
     """Parse edge-list or facet text into a graph."""
-    text = data.decode("utf-8")
+    text = data.decode("utf-8-sig")
     first = None
     for raw in text.splitlines():
         line = raw.strip()

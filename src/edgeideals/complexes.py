@@ -293,18 +293,15 @@ def _skeleton_join_profile(core: list[int]) -> dict[int, int] | None:
     return {sum(ks) - 1: rank} if rank else {}
 
 
-def _boundary_columns(faces_by_dim: dict[int, list[int]], d: int) -> dict[int, dict[int, int]]:
-    """Sparse boundary matrix C_d -> C_{d-1} as {column: {row: +-1}}."""
-    lower = {m: i for i, m in enumerate(faces_by_dim.get(d - 1, []))}
-    cols: dict[int, dict[int, int]] = {}
-    for j, m in enumerate(faces_by_dim.get(d, [])):
-        col: dict[int, int] = {}
-        sign = 1
-        for b in bits(m):
-            col[lower[m ^ (1 << b)]] = sign
-            sign = -sign
-        cols[j] = col
-    return cols
+def _boundary_column(m: int) -> dict[int, int]:
+    """Boundary of the face m as {lower face mask: +-1}, signs alternating
+    from the lowest vertex."""
+    col: dict[int, int] = {}
+    sign = 1
+    for b in bits(m):
+        col[m ^ (1 << b)] = sign
+        sign = -sign
+    return col
 
 
 def _betti_from_faces(faces: set[int]) -> dict[int, int]:
@@ -313,11 +310,10 @@ def _betti_from_faces(faces: set[int]) -> dict[int, int]:
     faces_by_dim: dict[int, list[int]] = {}
     for m in faces:
         faces_by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    for d in faces_by_dim:
-        faces_by_dim[d].sort()
     top = max(faces_by_dim)
-    ranks = {d: rank_sparse_pm(_boundary_columns(faces_by_dim, d)) for d in range(1, top + 1)}
-    ranks[0] = 1 if top >= 0 else 0  # every vertex has the empty face as boundary
+    ranks = {0: 1 if top >= 0 else 0}  # every vertex has the empty face as boundary
+    for d in range(1, top + 1):
+        ranks[d] = rank_sparse_pm({m: _boundary_column(m) for m in faces_by_dim[d]})
     out: dict[int, int] = {}
     for d in range(-1, top + 1):
         b = len(faces_by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)

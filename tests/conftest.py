@@ -21,7 +21,7 @@ from edgeideals.closed import (
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
-    _boundary_columns,
+    _boundary_column,
     _faces_of,
     _profile_masks,
     _prune_to_maximal,
@@ -542,26 +542,25 @@ def boundary_matrices(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -
     """Dense boundary matrices of the full face complex.
 
     Faces and columns come from the engine's own `_faces_of` and
-    `_boundary_columns`, so boundary-squared-zero tests the sign convention
-    that the homology computation uses.
+    `_boundary_column`, so boundary-squared-zero tests the sign convention
+    that the homology computation uses.  Rows and columns run over the
+    faces of each dimension in ascending mask order.
     """
     if C.is_void:
         return {}
     faces = _faces_of(C.mask_key, max_faces)
     faces_by_dim: dict[int, list[int]] = {}
-    for m in faces:
+    for m in sorted(faces):
         faces_by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    for d in faces_by_dim:
-        faces_by_dim[d].sort()
     out: dict[int, list[list[int]]] = {}
     top = max(faces_by_dim)
     for d in range(0, top + 1):
-        cols = _boundary_columns(faces_by_dim, d)
-        nrows = len(faces_by_dim.get(d - 1, []))
-        dense = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in cols.items():
-            for i, v in col.items():
-                dense[i][j] = v
+        row_of = {m: i for i, m in enumerate(faces_by_dim.get(d - 1, []))}
+        cols = faces_by_dim[d]
+        dense = [[0] * len(cols) for _ in row_of]
+        for j, m in enumerate(cols):
+            for lower, v in _boundary_column(m).items():
+                dense[row_of[lower]][j] = v
         out[d] = dense
     return out
 

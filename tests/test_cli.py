@@ -68,6 +68,15 @@ def test_recognize_claw_exit_2():
     assert err.count(b"\n") == 1  # single-line diagnostic
 
 
+def test_input_with_a_byte_order_mark():
+    # a BOM before "closed" made the facet file read as a malformed edge list
+    bom = b"\xef\xbb\xbf"
+    for text in (SEVEN_EDGE_TEXT, b"closed 2 1\n1 2\n"):
+        code, out, err = run_argv(["classify"], bom + text)
+        assert (code, err) == (EXIT_OK, b"")
+        assert out == run_argv(["classify"], text)[1]
+
+
 def test_malformed_input_exit_1():
     code, _, err = run_argv(["classify"], b"banana\n")
     assert code == EXIT_BAD_INPUT and err.startswith(b"error 1 ")

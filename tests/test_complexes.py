@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -41,6 +42,7 @@ from conftest import (
     maximal_cliques,
     maximal_masks_ref,
     pure_skeleton,
+    rank_fraction_gauss,
 )
 
 
@@ -52,6 +54,13 @@ def simplex_boundary(k):
     """Boundary of the k-simplex: homotopy sphere S^{k-1} on k+1 vertices."""
     verts = range(1, k + 2)
     return SimplicialComplex.from_faces(k + 1, combinations(verts, k))
+
+
+# minimal 6-vertex triangulation of the real projective plane
+RP2_FACETS = [
+    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+]
 
 
 def random_complex(rng, n_max=7):
@@ -99,6 +108,25 @@ def test_boundary_squared_is_zero_random():
                 for j in range(len(B[0])):
                     s = sum(A[i][k] * B[k][j] for k in range(len(B)))
                     assert s == 0
+
+
+def betti_by_reference_rank(C):
+    """Reduced Betti numbers from the dense boundary matrices, each ranked
+    by Gaussian elimination on Fractions."""
+    dims = Counter(m.bit_count() - 1 for m in _faces_of(C.mask_key, DEFAULT_FACE_CAP))
+    rank = {d: rank_fraction_gauss(A) for d, A in boundary_matrices(C).items()}
+    betti = {d: f - rank.get(d, 0) - rank.get(d + 1, 0) for d, f in dims.items()}
+    return {d: b for d, b in betti.items() if b}
+
+
+def test_matrix_path_matches_an_independent_rank():
+    # the engine's own rank against the Fraction reference, on the raw
+    # face lists that the collapses would otherwise reduce first
+    rng = random.Random(2)
+    cases = [random_complex(rng) for _ in range(150)]
+    cases += [SimplicialComplex.from_faces(6, RP2_FACETS), simplex_boundary(4), cx(3, ())]
+    for C in cases:
+        assert _betti_from_faces(_faces_of(C.mask_key, DEFAULT_FACE_CAP)) == betti_by_reference_rank(C)
 
 
 def test_euler_consistency_explicit():
@@ -754,13 +782,10 @@ def test_depth_with_ghost_vertices():
 
 
 def test_projective_plane_has_no_rational_homology():
-    # minimal 6-vertex triangulation; torsion only, so everything dies over Q.
-    # this drives the non-unit residual path of the integer elimination.
-    faces = [
-        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-        (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
-    ]
-    from collections import Counter
+    # torsion only, so everything dies over Q.  The column reduction meets
+    # no non-unit pivot here, under any of the 720 vertex relabelings; the
+    # unit-free matrices of tests/test_linalg.py cover that branch.
+    faces = RP2_FACETS
     edge_use = Counter()
     for f in faces:
         for e in combinations(f, 2):

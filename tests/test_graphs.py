@@ -64,6 +64,28 @@ def test_graph_refuses_an_adjacency_of_the_wrong_length():
     assert Graph(2, (0, 0b10, 0b01)).edges() == ((1, 2),)
 
 
+def test_graph_refuses_a_nonzero_unused_entry():
+    # entry 0 stands for no vertex, so a bit there is a malformed adjacency
+    with pytest.raises(GraphInputError, match="entry 0 is unused"):
+        Graph(2, (0b1, 0b10, 0b01))
+
+
+def test_graph_refuses_a_neighbour_above_n():
+    # bit 2 is vertex 3 of a 2-vertex graph: edges() reported (1, 3) and
+    # recognition indexed past the adjacency
+    with pytest.raises(GraphInputError, match=r"neighbour outside 1\.\.2"):
+        Graph(2, (0, 0b100, 0))
+    with pytest.raises(GraphInputError, match=r"neighbour outside 1\.\.2"):
+        Graph(2, (0, -1, 0b01))
+
+
+def test_graph_refuses_a_loop():
+    # a loop at 1 made vertex 1 its own neighbour, so it lay in no maximal
+    # clique and clique_degree read 0
+    with pytest.raises(GraphInputError, match="loop at vertex 1"):
+        Graph(2, (0, 0b11, 0b01))
+
+
 def test_graph_refuses_a_vertex_count_that_is_not_an_int():
     # a float count would pass the range check and fail later, in edges()
     # or in the adjacency list's length
