@@ -320,6 +320,11 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     the global flattened tuple smaller.  The returned facets are reproduced
     exactly by rebuilding the graph from them and applying the inverse
     labeling (verified before returning).
+
+    `Graph` does not check that its adjacency is symmetric, so each way of
+    failing checks it first and raises GraphInputError for an asymmetric
+    one; success implies symmetry, as the round trip rebuilds every closed
+    neighbourhood from the facets.
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")
@@ -327,6 +332,7 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     for cmask in component_masks(G):
         rec = _recognize_component(G, cmask)
         if rec is None:
+            _require_symmetric(G)
             return None
         pieces.append((cmask, *rec))
     pieces.sort(key=lambda p: p[2].flattened() + (G.n + 1,))
@@ -338,10 +344,24 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
             perm[b + 1] = offset + perm_local[b + 1]
         facets.extend((a + offset, b + offset) for a, b in fac.facets)
         offset += fac.n
+    if offset != G.n:  # components overlap, which a symmetric adjacency rules out
+        _require_symmetric(G)
     labeling = ClosedLabeling(tuple(perm))
     result = IntervalFacets(G.n, tuple(facets))
     _verify_roundtrip(G, labeling, result)
     return labeling, result
+
+
+def _require_symmetric(G: Graph) -> None:
+    """Raise GraphInputError unless every neighbour of every vertex of G
+    lists that vertex back; recognition calls it on its failure paths only."""
+    adj = G.adj
+    for v in range(1, G.n + 1):
+        for b in bits(adj[v]):
+            if not adj[b + 1] >> (v - 1) & 1:
+                raise GraphInputError(
+                    f"adjacency is not symmetric: {b + 1} is a neighbour of {v}, but not {v} of {b + 1}"
+                )
 
 
 def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
@@ -355,6 +375,7 @@ def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
     """
     n = G.n
     if F.n != n or sorted(labeling.perm[1:]) != list(range(1, n + 1)):
+        _require_symmetric(G)
         raise AssertionError("recognition round-trip: the labeling is not a bijection of 1..n")
     inv = labeling.inverse()
     prefix = [0]
@@ -362,6 +383,7 @@ def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
         prefix.append(prefix[-1] | 1 << (v - 1))
     for v, (lo, hi) in zip(inv[1:], _neighbourhoods(F)):
         if prefix[hi] ^ prefix[lo - 1] != G.adj[v] | 1 << (v - 1):
+            _require_symmetric(G)
             raise AssertionError("recognition round-trip failed to reproduce the input graph")
 
 

@@ -48,16 +48,22 @@ Three memos hold the answers, each keyed with the face cap: homology
 profiles (`_profile_cache`), link depths of complexes without a cone point
 (`_cm_cache`) and the pd of the face ring of a complex's support
 (`_pd_cache`).  Every answer is computed on the canonical form of the facet
-masks (`_canonical`): the support packed onto its low bits in order, or
-the bit-reversal of that, whichever sorts first.  Complexes isomorphic by
-an order-preserving or order-reversing map of their supports share one
-entry: the depth sweep's restrictions in local coordinates and the same
-subcomplexes met by the link recursion in global masks, or the oracle
-complexes of a facet chain and of its reversal.  Each memo holds
-canonical keys only: a question is canonicalized on entry (the link-depth
-memo after stripping a cone) and then looked up once.  A call's answer,
-or its ResourceCapError, is thus a function of the canonical key and the
-cap, not of the calls made before it.
+masks (`_canonical`): the apex (the vertices in every facet) taken off,
+the rest packed onto its low bits in order, or the bit-reversal of that,
+whichever sorts first, and the apex put back above it.  Cones over cores
+isomorphic by an order-preserving or order-reversing map of their
+supports, with apexes of one size, share one entry: the depth sweep's
+restrictions in local coordinates and the same subcomplexes met by the
+link recursion in global masks, or the oracle complexes of a facet chain
+and of its reversal.  Each memo stores canonical keys only, so a question
+is first looked up as asked; facets found that way are canonical already,
+and only the others are canonicalized and looked up again (`_lookup`).  A
+`SimplicialComplex` computes its `canonical_key` and its `truncations`
+once, so the criteria asked about one complex share one key per
+truncation, and taking the apex off a canonical key leaves the canonical
+key of its core, which the link-depth memo finds as asked.  A call's
+answer, or its ResourceCapError, is thus a function of the canonical key
+and the cap, not of the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -69,10 +75,11 @@ descending size, stopping as soon as smaller subsets cannot beat the best
 contribution found.  A restriction is the join of its restrictions to the
 connected components of the 2-section graph of the minimal nonfaces inside
 the subset, so the sweep computes homology per component, through the
-profile memo, and adds the degrees.  The facets are relabeled once into
-local coordinates on the vertices of the minimal nonfaces: every other
-vertex lies in every facet and in no component, so each component
-restricts the local facet list directly.  The components are flooded
+profile memo, and adds the degrees.  The sweep runs on a canonical key,
+whose low bits are the vertices of the minimal nonfaces and whose apex,
+in every facet and in no component, lies above them: taking the apex off
+puts the facets in local coordinates, and each component restricts that
+local facet list directly.  The components are flooded
 through the same `graphs.union_table` and `graphs.components` that the
 exhaustive cut-set sweep uses, all of them before any homology: each takes
 off at least 1, so a subset whose size minus its component count cannot
@@ -80,8 +87,8 @@ beat the best contribution is skipped.  Each complex is swept once per
 face cap: `depth_hochster` is the only entry, and `_pd_cache` keeps its pd.
 
 Duval's criterion and the oracle's Goodarzi check ask about the same
-subcomplexes, one per distinct facet size, and `facet_truncations` walks
-them for both; the walk only chooses them.  The depth sweep never looks at
+subcomplexes, one per distinct facet size, and `truncations` lists them
+for both; the list only chooses them.  The depth sweep never looks at
 links, so depth against link depth and Goodarzi against Duval compare
 independent code paths.
 """
@@ -89,10 +96,12 @@ independent code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from math import comb
+from operator import and_
 
 from .errors import ResourceCapError
-from .graphs import bits, components, mask_of, permute_masks, union_of, union_table, vertices_of
+from .graphs import bits, components, mask_of, union_of, union_table, vertices_of
 from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -163,20 +172,40 @@ class SimplicialComplex:
     def support_mask(self) -> int:
         return union_of(self.mask_key)
 
+    @cached_property
+    def canonical_key(self) -> frozenset[int]:
+        """`_canonical` of the facet masks, computed once per object: every
+        memo question about the complex is asked with it."""
+        return _canonical(self.mask_key)
 
-def facet_truncations(C: SimplicialComplex):
-    """Yield (s, facets with at least s vertices) for each distinct facet
-    size s of C, ascending.
+    @property
+    def truncations(self) -> tuple[tuple[int, "SimplicialComplex"], ...]:
+        """(s, subcomplex generated by the facets with at least s vertices)
+        for each distinct facet size s, ascending; the first is the complex
+        itself, the others are built once per object.
 
-    Duval's and Goodarzi's criteria ask, for every i, about the subcomplex
-    generated by the facets with more than i vertices.  For every i from the
-    next smaller facet size (or 0) up to s - 1 that is the subcomplex
-    yielded with s, so each criterion asks once per s, at i = s - 1.
-    """
-    if C.is_void:
-        raise ValueError("void complex")
-    for s in sorted({m.bit_count() for m in C.mask_key}):
-        yield s, frozenset(m for m in C.mask_key if m.bit_count() >= s)
+        Duval's and Goodarzi's criteria ask, for every i, about the
+        subcomplex generated by the facets with more than i vertices.  For
+        every i from the next smaller facet size (or 0) up to s - 1 that is
+        the subcomplex paired with s, so each criterion asks once per s, at
+        i = s - 1.
+        """
+        smallest, above = self._truncations_above
+        return ((smallest, self),) + above
+
+    @cached_property
+    def _truncations_above(self) -> tuple[int, tuple[tuple[int, "SimplicialComplex"], ...]]:
+        # without the complex itself, which would make every complex a
+        # reference cycle through its own cache
+        if self.is_void:
+            raise ValueError("void complex")
+        n, key = self.n_vertices, self.mask_key
+        sizes = sorted({m.bit_count() for m in key})
+        return sizes[0], tuple(
+            (s, SimplicialComplex(n, frozenset(m for m in key if m.bit_count() >= s)))
+            for s in sizes[1:]
+        )
+
 
 # -- faces, collapses, boundary matrices ---------------------------------------
 
@@ -199,10 +228,7 @@ def _faces_of(facet_masks, cap: int) -> set[int]:
 def _apex(facet_masks) -> int:
     """Mask of the vertices that lie in every facet (0 when there are no facets);
     the complex is a cone exactly when it is nonzero."""
-    acc = -1
-    for m in facet_masks:
-        acc &= m
-    return max(acc, 0)
+    return max(reduce(and_, facet_masks, -1), 0)
 
 
 def _strong_collapse(facet_masks) -> list[int]:
@@ -326,34 +352,73 @@ _BIT_REVERSE = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def _canonical(facets_key: frozenset[int]) -> frozenset[int]:
-    """One representative of the facet masks up to packing and reversal.
+    """One representative of the facet masks up to packing and reversal of
+    the core, with the apex on top.
 
-    The support is packed onto bits 0..w-1 in order (a support that is
-    already low-packed is kept as it is); of that family and its
-    bit-reversal within w bits, the one with the smaller sorted mask list
-    is returned.  Complexes with equal keys are isomorphic by an order-
-    preserving or order-reversing map of their supports, so their reduced
-    Betti numbers, link depth and the pd of the face ring of their support
-    agree, and so does their face count, which the face cap bounds.
+    The apex A (the vertices in every facet) is taken off, leaving the core
+    B = {f - A}, a complex without a cone point.  The support of B is
+    packed onto bits 0..w-1 in order, one shift and mask per run of
+    consecutive support bits; of that family and its bit-reversal within w
+    bits, the one with the smaller sorted mask list is kept, and A comes
+    back as bits w..w+|A|-1 of every mask.  Complexes with equal keys are
+    cones over cores that are isomorphic by an order-preserving or
+    order-reversing map of their supports, with apexes of one size, so
+    their reduced Betti numbers, link depth and the pd of the face ring of
+    their support agree, and so does their face count, which the face cap
+    bounds.  The core of a canonical key, its apex taken off, is a
+    canonical key itself.
     """
-    support = union_of(facets_key)
-    w = support.bit_count()
     masks = list(facets_key)
-    if support & (support + 1):  # not of the form 2^w - 1
-        target = [None] * (support.bit_length() + 1)
-        for k, b in enumerate(bits(support)):
-            target[b + 1] = k
-        masks = permute_masks(masks, target)
+    apex = _apex(masks)
+    support = union_of(masks) ^ apex
+    w = support.bit_count()
+    if apex or support & (support + 1):  # a cone, or a support not of the form 2^w - 1
+        runs = []  # (run of support bits, shift that packs it)
+        done = 0
+        while support:
+            low = support & -support
+            run = support & ~(support + low)  # the lowest run left
+            runs.append((run, low.bit_length() - 1 - done))
+            done += run.bit_count()
+            support ^= run
+        packed = []
+        for m in masks:
+            acc = 0
+            for run, shift in runs:
+                acc |= (m & run) >> shift
+            packed.append(acc)
+        masks = packed
     masks.sort()
     # reverse each mask's bytes bit by bit, read them in the other byte
     # order, and drop the 8 * nbytes - w padding bits
     nbytes = (w + 7) >> 3
     pad = 8 * nbytes - w
-    flipped = sorted([
-        int.from_bytes(m.to_bytes(nbytes, "little").translate(_BIT_REVERSE), "big") >> pad
-        for m in masks
-    ])
-    return frozenset(min(masks, flipped))
+    if nbytes <= 1:
+        flipped = sorted([_BIT_REVERSE[m] >> pad for m in masks])
+    else:
+        flipped = sorted([
+            int.from_bytes(m.to_bytes(nbytes, "little").translate(_BIT_REVERSE), "big") >> pad
+            for m in masks
+        ])
+    masks = min(masks, flipped)
+    if apex:
+        top = ((1 << apex.bit_count()) - 1) << w
+        masks = [m | top for m in masks]
+    return frozenset(masks)
+
+
+def _lookup(memo: dict, facets_key: frozenset[int], cap: int):
+    """(canonical key, memo entry or None) of the facets at the cap.
+
+    A memo stores canonical keys only, so facets found there as they are
+    asked are a canonical key already and skip `_canonical`: this is how a
+    `canonical_key`, or the core of one, is read back.
+    """
+    hit = memo.get((facets_key, cap))
+    if hit is None:
+        facets_key = _canonical(facets_key)
+        hit = memo.get((facets_key, cap))
+    return facets_key, hit
 
 
 # Keyed with the face cap, so that a call's result or its ResourceCapError
@@ -364,8 +429,7 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets,
     computed on its canonical form and memoised under it."""
-    facets_key = _canonical(facets_key)
-    hit = _profile_cache.get((facets_key, cap))
+    facets_key, hit = _lookup(_profile_cache, facets_key, cap)
     if hit is not None:
         return hit
     faces = _faces_of(facets_key, cap)
@@ -405,7 +469,8 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     most the smallest facet size minus 1.  The empty face gives the lowest
     nonzero degree of the complex itself, and the faces through a vertex v
     give 1 + the link depth of lk v, because links of links are links.
-    Memoised on (canonical facets, cap) for complexes without a cone point.
+    Memoised on (canonical facets, cap) for complexes without a cone point;
+    the core of a canonical key is found in the memo as it is asked.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
     B = {f - A}, has link depth(B) + |A|: a face sigma not containing A has
@@ -415,9 +480,7 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     apex = _apex(facets_key)
     if apex:
         return link_depth(frozenset(f & ~apex for f in facets_key), cap) + apex.bit_count()
-    facets_key = _canonical(facets_key)
-    key = (facets_key, cap)
-    hit = _cm_cache.get(key)
+    facets_key, hit = _lookup(_cm_cache, facets_key, cap)
     if hit is not None:
         return hit
     support = union_of(facets_key)
@@ -432,7 +495,7 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
         v = 1 << b
         # facets through v, minus v, are already pairwise incomparable
         result = min(result, 1 + link_depth(frozenset(f & ~v for f in facets_key if f & v), cap))
-    _cm_cache[key] = result
+    _cm_cache[(facets_key, cap)] = result
     return result
 
 
@@ -449,7 +512,7 @@ def is_cm_reisner(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bo
         raise ValueError("void complex")
     if len({m.bit_count() for m in C.mask_key}) > 1:
         return False  # not pure: answered before any homology
-    return link_depth(C.mask_key, max_faces) >= C.dim
+    return link_depth(C.canonical_key, max_faces) >= C.dim
 
 
 def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> bool:
@@ -462,13 +525,13 @@ def is_scm_duval(C: SimplicialComplex, max_faces: int = DEFAULT_FACE_CAP) -> boo
     no reduced homology below i - |sigma| (Bjoerner-Wachs-Welker 2009),
     that is, iff i <= its link depth.  The skeleton itself is never built.
 
-    Each subcomplex of `facet_truncations` is checked once, at i = s - 1,
+    Each subcomplex of `C.truncations` is checked once, at i = s - 1,
     which implies the checks at smaller i; a pure complex needs one check,
     on the link depth Reisner's criterion memoised.  Goodarzi's filtration
     criterion in the oracle reaches the same verdict through the Hochster
     depth sweep.
     """
-    return all(link_depth(kept, max_faces) >= s - 1 for s, kept in facet_truncations(C))
+    return all(link_depth(sub.canonical_key, max_faces) >= s - 1 for s, sub in C.truncations)
 
 
 # -- depth via the projective-dimension sweep -----------------------------------
@@ -488,10 +551,12 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
     """The pd of the face ring of the support of the complex with the given
     facets, by the sweep `depth_hochster` describes.
 
-    Everything runs in local coordinates on the vertices of the minimal
-    nonfaces: the nonfaces, the lattice, the table and the facets, which
-    are relabeled once.  A vertex in no minimal nonface lies in every facet
-    and in no part, so a part restricts the local facets as they are.
+    The facets are a canonical key, so everything runs in local
+    coordinates on the vertices of the minimal nonfaces as it is: those
+    are the vertices of its core, packed onto the low bits (a core vertex
+    v misses some facet G, and G + v holds a minimal nonface through v).
+    The apex above them lies in every facet and in no minimal nonface; with
+    it taken off, a part restricts the local facets as they are.
 
     Every part of sigma is flooded before any homology is computed: the
     parts take off d_j + 1 >= 1 each, so sigma with c(sigma) parts is
@@ -499,24 +564,24 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
     """
     facet_masks = sorted(facets_key)
     nonfaces = _minimal_nonfaces(facet_masks)
-    verts = list(bits(union_of(nonfaces)))  # local vertex k is global bit verts[k]
-    target = [None] * (union_of(facet_masks).bit_length() + 1)
-    for k, b in enumerate(verts):
-        target[b + 1] = k
-    local_facets = permute_masks(facet_masks, target)
-    adj = [0] * len(verts)  # 2-section graph of the minimal nonfaces
+    core = union_of(nonfaces)
+    if core & (core + 1):
+        raise AssertionError("the depth sweep takes canonical keys: their core is packed low")
+    local_facets = [f & core for f in facet_masks]  # the apex taken off
+    m = core.bit_length()
+    adj = [0] * m  # 2-section graph of the minimal nonfaces
     lattice = {0}
-    for nf in permute_masks(nonfaces, target):
+    for nf in nonfaces:
         for k in bits(nf):
             adj[k] |= nf ^ (1 << k)
         lattice.update([s | nf for s in lattice])
     nb = union_table(adj)
-    by_size: list[list[int]] = [[] for _ in range(len(verts) + 1)]
+    by_size: list[list[int]] = [[] for _ in range(m + 1)]
     for s in sorted(lattice):
         by_size[s.bit_count()].append(s)
 
     best_pd = 0  # sigma = {} contributes degree -1 homology of {emptyset}
-    for size in range(len(verts), 0, -1):
+    for size in range(m, 0, -1):
         if best_pd >= size - 1:
             break
         for sigma in by_size[size]:
@@ -563,24 +628,24 @@ def depth_hochster(
     to the components of the 2-section graph of the minimal nonfaces inside
     sigma, flooded through nb (the `union_table` of that graph), so it
     contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
-    of component j.  d_j is read off the facets relabeled into the same
-    local coordinates, restricted to the component as they are (the
-    vertices dropped lie in every facet and in no component); a component
-    met again is a `_profile_cache` hit.  All parts are flooded first, and
+    of component j.  d_j is read off the facets in the same local
+    coordinates, restricted to the component as they are (the apex, taken
+    off, lies in every facet and in no component); a component met again
+    is a `_profile_cache` hit.  All parts are flooded first, and
     sigma is skipped without homology when |sigma| - c(sigma), with
     c(sigma) its number of parts, is at most the best contribution so far
     (0, from sigma = {}, at the start).  The table, 2^m entries for the m
     vertices of the minimal nonfaces, and the lattice are built only after
-    the variable cap is checked.  The sweep runs on the canonical complex
-    (`_canonical`), and its pd is memoised in `_pd_cache` per (canonical
-    facets, face cap), so every isomorphic copy, such as the reversal of an
-    oracle complex, reads it from there, and so do the oracle's questions
-    about the same facet truncation.
+    the variable cap is checked.  The sweep runs on C's `canonical_key`,
+    and its pd is memoised in `_pd_cache` per (canonical facets, face cap),
+    so every isomorphic copy, such as the reversal of an oracle complex,
+    reads it from there, and so do the oracle's questions about the same
+    facet truncation.
     """
     check_var_cap(C.n_vertices, max_vars)
     if C.is_void:
         raise ValueError("void complex corresponds to the unit ideal")
-    canon = _canonical(C.mask_key)
+    canon = C.canonical_key
     pd = _pd_cache.get((canon, max_faces))
     if pd is None:
         pd = _pd_cache[(canon, max_faces)] = _pd_sweep(canon, max_faces)

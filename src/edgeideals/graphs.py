@@ -89,7 +89,9 @@ class Graph:
     refuses a nonzero adj[0], a negative entry or a bit above n, and a
     loop; each check is O(n).  Symmetry is not checked: at n = 36 a full
     check takes about 80 us against about 4 us for these three (Python
-    3.11), so an asymmetric adj is the caller's error.
+    3.11), so an asymmetric adj is the caller's error.  Recognition, which
+    succeeds only on a symmetric adj, scans for it on its failure paths and
+    reports it as a GraphInputError.
     """
 
     n: int

@@ -21,6 +21,12 @@ such subcomplex: depth == 1 + min(link depth, dim) (Smith 1990).  On the
 whole complex this implies that Reisner's verdict agrees with
 depth == dim (Auslander-Buchsbaum).
 
+One oracle call walks the truncations once: the complex lists them
+(`SimplicialComplex.truncations`) and canonicalizes each once
+(`canonical_key`), and the Smith check, Reisner, Duval and Goodarzi all
+ask with those objects and keys, so each question after the first about
+a truncation is a memo lookup with no canonical form computed again.
+
 The oracle certifies invariants of the initial ideal.  Depth, dimension,
 CM-ness and almost-CM-ness carry over to the binomial ideal by the transfer
 theorem for squarefree initial degenerations (Conca-Varbaro 2020).
@@ -42,7 +48,6 @@ from .complexes import (
     SimplicialComplex,
     check_var_cap,
     depth_hochster,
-    facet_truncations,
     is_cm_reisner,
     is_scm_duval,
     link_depth,
@@ -127,15 +132,14 @@ def goodarzi_check(
     is sequentially CM iff that quotient has depth >= i + 1 for every
     0 <= i <= dim C, in the ring with one variable per vertex of C's universe.
 
-    Each subcomplex of `facet_truncations` asks `depth_hochster` once, and
+    Each subcomplex of `C.truncations` asks `depth_hochster` once, and
     depth >= s there covers every i it stands for; the complex {emptyset}
     has depth 0 >= 0.  The depth is memoised per canonical complex, so the
     oracle's own questions about the same truncations cost one lookup.
     """
-    n = C.n_vertices
     return all(
-        depth_hochster(SimplicialComplex(n, kept), max_vars=max_vars, max_faces=max_faces) >= s
-        for s, kept in facet_truncations(C)
+        depth_hochster(sub, max_vars=max_vars, max_faces=max_faces) >= s
+        for s, sub in C.truncations
     )
 
 
@@ -151,16 +155,17 @@ def oracle_classify_facets(
     check_var_cap(2 * F.n, max_vars)  # before the complex: it can have exponentially many facets
     C = oracle_complex(F)
     dim_quotient = C.dim + 1
-    depth = depth_hochster(C, max_vars=max_vars, max_faces=max_faces)
+    # Smith 1990 on every truncation, C first: the t-skeleton is CM exactly
+    # for t <= link depth; both sides are memoised for the criteria, which
+    # ask about the same truncation objects with the same canonical keys
+    depths = []
+    for _, sub in C.truncations:
+        depths.append(depth_hochster(sub, max_vars=max_vars, max_faces=max_faces))
+        if depths[-1] != 1 + min(link_depth(sub.canonical_key, max_faces), sub.dim):
+            raise AssertionError("link depth and Hochster depth disagree; engine bug")
+    depth = depths[0]
     cm = is_cm_reisner(C, max_faces=max_faces)
     scm = is_scm_duval(C, max_faces=max_faces)
-    # Smith 1990 on every truncation, C first: the t-skeleton is CM exactly
-    # for t <= link depth; both sides are memoised for the criteria
-    for _, kept in facet_truncations(C):
-        sub = SimplicialComplex(C.n_vertices, kept)
-        sub_depth = depth_hochster(sub, max_vars=max_vars, max_faces=max_faces)
-        if sub_depth != 1 + min(link_depth(kept, max_faces), sub.dim):
-            raise AssertionError("link depth and Hochster depth disagree; engine bug")
     goo = goodarzi_check(C, max_vars=max_vars, max_faces=max_faces)
     almost = depth >= dim_quotient - 1
     return OracleReport(

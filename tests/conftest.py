@@ -35,7 +35,6 @@ from edgeideals.graphs import (
     bits,
     from_edge_list,
     mask_of,
-    permute_masks,
     union_of,
     vertices_of,
 )
@@ -169,19 +168,24 @@ def permute_masks_ref(masks, target) -> list[int]:
 
 
 def canonical_ref(facets_key: frozenset[int]) -> frozenset[int]:
-    """Reference `complexes._canonical`: the support packed onto its low
-    bits in order, then each mask reversed within w bits as a binary string."""
-    support = union_of(facets_key)
+    """Reference `complexes._canonical`: the vertices in every facet (the
+    apex) taken off, the support of the rest packed onto its low bits in
+    order one bit at a time, each mask reversed within w bits as a binary
+    string, the smaller sorted list kept, and the apex put back as the
+    next bits up."""
+    if not facets_key:
+        return frozenset()
+    apex = set.intersection(*(set(bits(m)) for m in facets_key))
+    masks = [m & ~sum(1 << b for b in apex) for m in facets_key]
+    support = union_of(masks)
     w = support.bit_count()
-    masks = list(facets_key)
-    if support & (support + 1):  # not of the form 2^w - 1
-        target = [None] * (support.bit_length() + 1)
-        for k, b in enumerate(bits(support)):
-            target[b + 1] = k
-        masks = permute_masks(masks, target)
-    masks.sort()
+    target = [None] * (support.bit_length() + 1)
+    for k, b in enumerate(bits(support)):
+        target[b + 1] = k
+    masks = sorted(permute_masks_ref(masks, target))
     flipped = sorted(int(format(m, f"0{w}b")[::-1], 2) for m in masks)
-    return frozenset(min(masks, flipped))
+    top = sum(1 << (w + k) for k in range(len(apex)))
+    return frozenset(m | top for m in min(masks, flipped))
 
 
 def parse_edge_list_ref(text: str) -> Graph:

@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.closed import (
@@ -24,7 +24,7 @@ from edgeideals.closed import (
     reverse_facets,
 )
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import component_masks, from_edge_list, permute_masks, vertices_of
+from edgeideals.graphs import Graph, component_masks, from_edge_list, permute_masks, vertices_of
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
 from conftest import (
@@ -437,6 +437,28 @@ def test_roundtrip_check_rejects_wrong_facets_or_labeling():
     for perm in ((0, 2, 1, 3, 4), (0, 1, 2, 2, 4), (0, 0, 1, 2, 3), (0, 1, 2, 3)):
         with pytest.raises(AssertionError, match="round-trip"):
             _verify_roundtrip(G, ClosedLabeling(perm), F)
+
+
+def test_recognition_refuses_an_asymmetric_adjacency():
+    # vertex 1 lists 2, which does not list 1: the round trip fails, and
+    # the symmetry scan before its AssertionError names the input's fault
+    with pytest.raises(GraphInputError, match="not symmetric: 2 is a neighbour of 1"):
+        recognize_closed(Graph(3, (0, 0b010, 0, 0)))
+
+
+@given(recognition_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_recognition_fails_on_any_asymmetric_adjacency_with_graph_input_error(G, rng):
+    # one half of an edge added or dropped: whichever way recognition fails
+    # (no closed order, overlapping components, the round trip), it raises
+    # GraphInputError; it cannot succeed, since the round trip rebuilds
+    # every closed neighbourhood from symmetric facets
+    assume(G.n >= 2)
+    u, v = rng.sample(range(1, G.n + 1), 2)
+    adj = list(G.adj)
+    adj[u] ^= 1 << (v - 1)
+    with pytest.raises(GraphInputError, match="not symmetric"):
+        recognize_closed(Graph(G.n, tuple(adj)))
 
 
 def _induced(G, W):

@@ -717,9 +717,23 @@ def _split_family(w, shift):
 @example(_split_family(32, 0))
 @example(_split_family(32, 9))
 @example(frozenset({0b1011 << 28, 1 << 40}))
+# three runs of support bits: {0, 1}, {3, 4} and {6}
+@example(frozenset({0b1011, 0b1011000, 0b1000010}))
+# a run of support bits across a byte boundary, bits 6..9
+@example(frozenset({1 | 1 << 6, 0b1110 << 6}))
+# 32 support bits with a gap at bit 16
+@example(frozenset({(1 << 16) - 1, ((1 << 16) - 1) << 17}))
+# a cone: the apex, bits 1 and 9, goes above the packed core
+@example(frozenset({0b1011 | 1 << 9, 0b0110 | 1 << 9}))
 @given(spread_families())
 def test_canonical_matches_string_reversal_reference(family):
-    assert _canonical(family) == canonical_ref(family)
+    canon = _canonical(family)
+    assert canon == canonical_ref(family)
+    # the core of a canonical key is one too: the link-depth memo reads it
+    # back as asked
+    apex = _apex(canon)
+    core = frozenset(m & ~apex for m in canon)
+    assert _canonical(core) == core
 
 
 def test_depth_simple_cases():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,6 @@ from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
     depth_hochster,
-    facet_truncations,
     is_cm_reisner,
     is_scm_duval,
     link_depth,
@@ -140,11 +140,39 @@ def test_oracle_checks_link_depth_against_hochster_depth_on_every_truncation(mon
 
     whole = oracle_complex(F).mask_key
     assert len({m.bit_count() for m in whole}) > 1
+    # the oracle asks with each truncation's canonical key
+    whole = complexes._canonical(whole)
     real = oracle_mod.link_depth
     monkeypatch.setattr(oracle_mod, "link_depth",
                         lambda key, cap: real(key, cap) - (key != whole))
     with pytest.raises(AssertionError, match="link depth and Hochster depth disagree"):
         oracle_classify_facets(F)
+
+
+@pytest.mark.parametrize("F", [IntervalFacets(3, ((1, 3),)), SEVEN_NOT_SCM])
+def test_oracle_canonicalizes_each_truncation_once(monkeypatch, F):
+    # one canonical key per facet truncation per call, read by Reisner,
+    # Duval, Goodarzi and the Smith check alike: with empty memos no
+    # truncation's facets are canonicalized twice, and with full memos the
+    # truncations are the only facets canonicalized at all
+    whole = oracle_complex(F).mask_key
+    keys = Counter(frozenset(m for m in whole if m.bit_count() >= s)
+                   for s in {m.bit_count() for m in whole})
+    seen = Counter()
+    real = complexes._canonical
+
+    def counted(facets_key):
+        seen[facets_key] += 1
+        return real(facets_key)
+
+    monkeypatch.setattr(complexes, "_canonical", counted)
+    for name in ("_profile_cache", "_cm_cache", "_pd_cache"):
+        monkeypatch.setattr(complexes, name, {})
+    report = oracle_classify_facets(F)
+    assert all(seen[key] <= 1 for key in keys), seen
+    seen.clear()
+    assert oracle_classify_facets(F) == report
+    assert seen == keys
 
 
 def test_void_complex_is_rejected_by_every_criterion():
@@ -174,8 +202,8 @@ def test_oracle_sweeps_depth_once_per_distinct_truncation(monkeypatch):
     monkeypatch.setattr(complexes, "_pd_cache", {})
     for F in [*_closed_n6(), SEVEN_NOT_SCM, SEVEN_ALMOST]:
         oracle_classify_facets(F)
-        for _, kept in facet_truncations(oracle_complex(F)):
-            assert (complexes._canonical(kept), DEFAULT_FACE_CAP) in complexes._pd_cache, F.facets
+        for _, sub in oracle_complex(F).truncations:
+            assert (complexes._canonical(sub.mask_key), DEFAULT_FACE_CAP) in complexes._pd_cache, F.facets
     assert len(swept) == len(set(swept))
     assert all(complexes._canonical(key) == key for key, _ in swept)
 
