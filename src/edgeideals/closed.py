@@ -14,21 +14,24 @@ pass.  `_neighbourhoods` yields the closed neighbourhood of each label,
 the interval from the first facet containing it to the last; it builds
 the graph of the facets and certifies recognition's labeling.
 
-Recognition runs a three-sweep lexicographic BFS per component (LBFS
+Recognition runs a three-sweep lexicographic BFS over all of G (LBFS
 then two LBFS+ sweeps, Corneil's proper-interval scheme) and then
 *verifies* the candidate ordering with the consecutive-neighbourhood test,
 so a positive answer is always certified; an exhaustive all-labelings
 oracle lives in the test suite only.  Each sweep is partition refinement
 on bit masks: the unvisited vertices form an ordered list of class masks,
 and visiting v splits every class k into k & N(v) followed by the rest.
+A sweep finishes a component before it starts the next, as unvisited
+vertices of a started component have the larger labels, so the
+components fall out of the third order as the gaps of its facet list.
 The first sweep runs in G's own vertex space; the LBFS+ sweeps run in the
 rank space of the previous order (bit r stands for its r-th vertex), so
 each tie-break is the lowest or the highest bit of the first class.
-Those two sweeps are the only relabelings (`permute_masks`) per
-component.  The closedness test of the third order and the round-trip
-certificate of the final labeling stay in G's vertex space: both compare
-each closed neighbourhood with a difference of two prefix masks, the
-vertices among the first k of an order.
+Those two sweeps are the only relabelings (`permute_masks`) per graph.
+The closedness test of the third order and the round-trip certificate of
+the final labeling stay in G's vertex space: both compare each closed
+neighbourhood with a difference of two prefix masks, the vertices among
+the first k of an order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import MAX_VERTICES, Graph, bits, component_masks, permute_masks
+from .graphs import MAX_VERTICES, Graph, bits, permute_masks
 
 
 @dataclass(frozen=True)
@@ -190,28 +193,21 @@ def build_graph(F: IntervalFacets) -> Graph:
     return Graph(F.n, tuple(adj))
 
 
-def reverse_facets(F: IntervalFacets) -> IntervalFacets:
-    """Facets of the same graph under the labeling v -> n + 1 - v."""
-    n = F.n
-    rev = tuple((n + 1 - b, n + 1 - a) for a, b in reversed(F.facets))
-    return IntervalFacets(n, rev)
-
-
 # -- recognition --------------------------------------------------------------
 
 
-def _sweep(adj, live: int, highest: bool) -> list[int]:
+def _sweep(adj, highest: bool) -> list[int]:
     """Lexicographic BFS by partition refinement; returns bit positions.
 
-    adj[b] is the neighbour mask of bit b.  The unvisited bits of `live`
-    are kept as an ordered list of class masks, largest label first, so
-    the first class holds the unvisited vertices of lexicographically
-    largest label.  The next vertex is its lowest bit, or its highest when
-    `highest`; visiting v splits every class k into k & N(v), which just
-    gained a time stamp, followed by the rest of k.
+    adj[b] is the neighbour mask of bit b, for every bit b < len(adj).  The
+    unvisited bits are kept as an ordered list of class masks, largest
+    label first, so the first class holds the unvisited vertices of
+    lexicographically largest label.  The next vertex is its lowest bit,
+    or its highest when `highest`; visiting v splits every class k into
+    k & N(v), which just gained a time stamp, followed by the rest of k.
     """
     order = []
-    classes = [live]
+    classes = [(1 << len(adj)) - 1]
     while classes:
         first = classes[0]
         b = first.bit_length() - 1 if highest else (first & -first).bit_length() - 1
@@ -239,19 +235,19 @@ def _in_order(adj, order: list[int]) -> list[int]:
     return permute_masks([adj[v] for v in order], target)
 
 
-def _lbfs(adj, live: int, prev: list[int] | None) -> list[int]:
-    """One lexicographic BFS sweep over the vertices of mask `live`.
+def _lbfs(adj, prev: list[int] | None) -> list[int]:
+    """One lexicographic BFS sweep over all vertices of G.
 
     adj is indexed by 1-based vertex.  Ties go to the smallest vertex on
     the first sweep, which runs in G's own vertex space where that is the
-    lowest bit.  An LBFS+ sweep (prev given, listing exactly the vertices
-    of `live`) breaks ties towards the vertex latest in prev, which also
-    makes prev[-1] the start; it runs in rank space, where bit r is
-    prev[r], so that vertex is the highest bit.
+    lowest bit.  An LBFS+ sweep (prev given, a previous sweep) breaks ties
+    towards the vertex latest in prev, which also makes prev[-1] the
+    start; it runs in rank space, where bit r is prev[r], so that vertex
+    is the highest bit.
     """
     if prev is None:
-        return [b + 1 for b in _sweep(adj[1:], live, False)]
-    ranks = _sweep(_in_order(adj, prev), (1 << len(prev)) - 1, True)
+        return [b + 1 for b in _sweep(adj[1:], False)]
+    ranks = _sweep(_in_order(adj, prev), True)
     return [prev[r] for r in ranks]
 
 
@@ -283,43 +279,21 @@ def _closed_order_facets(adj, order: list[int]) -> IntervalFacets | None:
     return IntervalFacets(len(order), tuple(facets))
 
 
-def _recognize_component(G: Graph, comp: int) -> tuple[tuple[int, ...], IntervalFacets] | None:
-    """Closed labeling of a component of G, canonicalized, or None.
-
-    The component is the vertex mask `comp`.  Returns (perm, facets) with
-    perm[v] the new label of v in 1..|comp| (0 outside comp).  Among the
-    two straight orderings of a connected proper interval graph we keep
-    the one whose flattened facet tuple is lexicographically smaller.
-    """
-    pi1 = _lbfs(G.adj, comp, None)
-    pi2 = _lbfs(G.adj, comp, pi1)
-    pi3 = _lbfs(G.adj, comp, pi2)
-    fwd = _closed_order_facets(G.adj, pi3)
-    if fwd is None:
-        return None
-    n_c = len(pi3)
-    perm = [0] * (G.n + 1)
-    for pos, v in enumerate(pi3, start=1):
-        perm[v] = pos
-    rev = reverse_facets(fwd)
-    if rev.flattened() < fwd.flattened():
-        for v in pi3:
-            perm[v] = n_c + 1 - perm[v]
-        fwd = rev
-    return tuple(perm), fwd
-
-
 def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """Decide closedness; on success return a canonical labeling and facets.
 
-    Components are recognized separately, each as a vertex mask of G, and
-    laid out consecutively; the labeling is indexed by G's vertices 1..n.
-    A component goes before another when its flattened facet tuple is
-    smaller, a proper prefix counting as larger (the sentinel n + 1), and
-    equal ones keep their order; no other order of the components makes
-    the global flattened tuple smaller.  The returned facets are reproduced
-    exactly by rebuilding the graph from them and applying the inverse
-    labeling (verified before returning).
+    The third sweep lists each component as one run, and in a closed order
+    the facet list of each run is a connected one, so the components are
+    the pieces of the facet list between its gaps a_j = b_{j-1} + 1.  Each
+    piece is re-indexed to 1..n_c and given the orientation whose flattened
+    facet tuple is lexicographically smaller.  A component goes before
+    another when its flattened tuple is smaller, a proper prefix counting
+    as larger (the sentinel n + 1), and equal ones keep the order of the
+    sweep, by smallest vertex; no other order of the components makes the
+    global flattened tuple smaller.  The labeling is indexed by G's
+    vertices 1..n.  The returned facets are reproduced exactly by
+    rebuilding the graph from them and applying the inverse labeling
+    (verified before returning).
 
     `Graph` does not check that its adjacency is symmetric, so each way of
     failing checks it first and raises GraphInputError for an asymmetric
@@ -328,24 +302,36 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")
+    pi1 = _lbfs(G.adj, None)
+    pi2 = _lbfs(G.adj, pi1)
+    pi3 = _lbfs(G.adj, pi2)
+    F = _closed_order_facets(G.adj, pi3)
+    if F is None:
+        _require_symmetric(G)
+        return None
+    flat = F.flattened()
     pieces = []
-    for cmask in component_masks(G):
-        rec = _recognize_component(G, cmask)
-        if rec is None:
-            _require_symmetric(G)
-            return None
-        pieces.append((cmask, *rec))
-    pieces.sort(key=lambda p: p[2].flattened() + (G.n + 1,))
+    start = 0
+    for j in range(2, len(flat) + 1, 2):
+        if j == len(flat) or flat[j] > flat[j - 1]:  # a gap, or the end
+            lo, hi = flat[start] - 1, flat[j - 1]
+            fwd = tuple(x - lo for x in flat[start:j])
+            rev = tuple(hi + 1 - x for x in reversed(flat[start:j]))
+            order = pi3[lo:hi]
+            if rev < fwd:
+                fwd, order = rev, order[::-1]
+            pieces.append((fwd + (G.n + 1,), order))
+            start = j
+    pieces.sort(key=lambda p: p[0])
     perm = [0] * (G.n + 1)
     facets = []
     offset = 0
-    for cmask, perm_local, fac in pieces:
-        for b in bits(cmask):
-            perm[b + 1] = offset + perm_local[b + 1]
-        facets.extend((a + offset, b + offset) for a, b in fac.facets)
-        offset += fac.n
-    if offset != G.n:  # components overlap, which a symmetric adjacency rules out
-        _require_symmetric(G)
+    for key, order in pieces:
+        for pos, v in enumerate(order, start=offset + 1):
+            perm[v] = pos
+        ends = iter(key[:-1])
+        facets.extend((a + offset, b + offset) for a, b in zip(ends, ends))
+        offset += len(order)
     labeling = ClosedLabeling(tuple(perm))
     result = IntervalFacets(G.n, tuple(facets))
     _verify_roundtrip(G, labeling, result)

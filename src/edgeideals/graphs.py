@@ -144,27 +144,6 @@ def from_edge_list(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def component_masks(G: Graph) -> list[int]:
-    """Connected components as vertex masks, sorted by their smallest vertex."""
-    seen = 0
-    comps = []
-    for v in range(1, G.n + 1):
-        b = 1 << (v - 1)
-        if seen & b:
-            continue
-        comp = b
-        frontier = b
-        while frontier:
-            nxt = 0
-            for i in bits(frontier):
-                nxt |= G.adj[i + 1]
-            frontier = nxt & ~comp
-            comp |= frontier
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def union_table(masks) -> array:
     """t[s] = OR of masks[k] over the bits k of s, for every s < 2^len(masks).
 

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from edgeideals.closed import (
     Block,
+    ClosedLabeling,
     IntervalFacets,
-    _in_order,
-    _lbfs,
     build_graph,
     closed_labeling_witness,
     is_indecomposable,
-    reverse_facets,
 )
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
@@ -244,10 +242,21 @@ def interval_facets_ref(G: Graph) -> IntervalFacets:
 def closed_order_facets_ref(adj, order: list[int]) -> IntervalFacets | None:
     """Reference closedness test of a vertex order: relabel the adjacency
     into the order and read the facets with `interval_facets_ref`."""
+    target = [None] * len(adj)
+    for r, v in enumerate(order):
+        target[v] = r
+    masks = permute_masks_ref([adj[v] for v in order], target)
     try:
-        return interval_facets_ref(Graph(len(order), (0, *_in_order(adj, order))))
+        return interval_facets_ref(Graph(len(order), (0, *masks)))
     except NotClosedError:
         return None
+
+
+def reverse_facets(F: IntervalFacets) -> IntervalFacets:
+    """Facets of the same graph under the labeling v -> n + 1 - v."""
+    n = F.n
+    rev = tuple((n + 1 - b, n + 1 - a) for a, b in reversed(F.facets))
+    return IntervalFacets(n, rev)
 
 
 def build_graph_ref(F: IntervalFacets) -> Graph:
@@ -292,11 +301,11 @@ def blocks_ref(F: IntervalFacets) -> tuple[Block, ...]:
 
 
 def flatten_pieces(pieces) -> tuple[int, ...]:
-    """Endpoints of the facets of (mask, perm, facets) pieces laid out
+    """Endpoints of the facets of (order, facets) pieces laid out
     consecutively, as recognition lays out components."""
     out = []
     off = 0
-    for _, _, fac in pieces:
+    for _, fac in pieces:
         out.extend(x + off for x in fac.flattened())
         off += fac.n
     return tuple(out)
@@ -313,23 +322,43 @@ def component_order_ref(pieces):
     return sorted(pieces, key=cmp_to_key(cmp))
 
 
-def recognize_component_ref(G: Graph, comp: int):
-    """Reference `_recognize_component`: the three sweeps, then the third
-    order relabeled and tested by `closed_order_facets_ref`."""
-    pi1 = _lbfs(G.adj, comp, None)
-    pi2 = _lbfs(G.adj, comp, pi1)
-    pi3 = _lbfs(G.adj, comp, pi2)
+def recognize_component_ref(G: Graph, comp: tuple[int, ...]):
+    """Closed labeling of the component `comp` (its vertices) of G alone,
+    or None: three `lbfs_ref` sweeps over it, the third order tested by
+    `closed_order_facets_ref`, and of it and its reversal the one with the
+    smaller flattened facet tuple.  Returns (order, facets), the order
+    listing the component's vertices by new label."""
+    verts = list(comp)
+    pi1 = lbfs_ref(G.adj, verts, None)
+    pi2 = lbfs_ref(G.adj, verts, pi1)
+    pi3 = lbfs_ref(G.adj, verts, pi2)
     fwd = closed_order_facets_ref(G.adj, pi3)
     if fwd is None:
         return None
-    perm = [0] * (G.n + 1)
-    for pos, v in enumerate(pi3, start=1):
-        perm[v] = pos
     rev = reverse_facets(fwd)
     if rev.flattened() < fwd.flattened():
-        perm = [0 if p == 0 else len(pi3) + 1 - p for p in perm]
-        fwd = rev
-    return tuple(perm), fwd
+        return pi3[::-1], rev
+    return pi3, fwd
+
+
+def recognize_closed_ref(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
+    """Reference `recognize_closed`: each component of `components_ref`
+    recognized alone by `recognize_component_ref`, the components put in
+    the order of `component_order_ref` and laid out consecutively."""
+    pieces = []
+    for comp in components_ref(G):
+        rec = recognize_component_ref(G, comp)
+        if rec is None:
+            return None
+        pieces.append(rec)
+    perm, facets, off = [0] * (G.n + 1), [], 0
+    for order, fac in component_order_ref(pieces):
+        for pos, v in enumerate(order, start=off + 1):
+            perm[v] = pos
+        facets += [(a + off, b + off) for a, b in fac.facets]
+        off += fac.n
+    return ClosedLabeling(tuple(perm)), IntervalFacets(G.n, tuple(facets))
+
 
 @st.composite
 def random_graphs(draw):

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 from edgeideals.classify import classify_facets, is_scm_indecomposable
-from edgeideals.closed import IntervalFacets, build_graph, reverse_facets
+from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
@@ -35,6 +35,7 @@ from conftest import (
     SEVEN_NOT_SCM,
     boundary_matrices,
     num_edges,
+    reverse_facets,
     vertex_connectivity_ref,
     wsize_chain_check,
 )

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +11,6 @@ from edgeideals.closed import (
     IntervalFacets,
     _closed_order_facets,
     _lbfs,
-    _recognize_component,
     _verify_roundtrip,
     build_graph,
     connected_cutsets,
@@ -21,10 +20,9 @@ from edgeideals.closed import (
     is_indecomposable,
     parse_facet_text,
     recognize_closed,
-    reverse_facets,
 )
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import Graph, component_masks, from_edge_list, permute_masks, vertices_of
+from edgeideals.graphs import Graph, from_edge_list, permute_masks
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
 from conftest import (
@@ -37,7 +35,7 @@ from conftest import (
     claw,
     closed_order_facets_ref,
     complete_graph,
-    component_order_ref,
+    components_ref,
     disconnected_facets,
     flatten_pieces,
     has_edge,
@@ -45,8 +43,10 @@ from conftest import (
     lbfs_ref,
     num_edges,
     path_graph,
+    recognize_closed_ref,
     recognize_component_ref,
     relabel,
+    reverse_facets,
 )
 
 
@@ -321,29 +321,35 @@ def sweep_graphs(draw):
 @given(sweep_graphs())
 @settings(max_examples=250, deadline=None)
 def test_lbfs_sweeps_match_reference(G):
-    # all three sweeps, on the whole vertex set and on each component alone
+    # the three sweeps over all of G: each lists every component as one
+    # run, the run is the sweep of that component alone (after the previous
+    # sweep restricted to it), and the runs come in ascending, descending
+    # and again ascending order of smallest vertex
     adj = dict(enumerate(G.adj))
-    for live in [G.full_mask] + component_masks(G):
-        verts = list(vertices_of(live))
-        prev = None
-        for _ in range(3):
-            got = _lbfs(G.adj, live, prev)
-            want = lbfs_ref(adj, verts, prev)
-            assert got == want
-            prev = want
+    comps = components_ref(G)
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    prev = None
+    for step in (1, -1, 1):
+        got = _lbfs(G.adj, prev)
+        assert got == lbfs_ref(adj, list(range(1, G.n + 1)), prev)
+        runs = [k for k, _ in groupby(where[v] for v in got)]
+        assert runs == list(range(len(comps)))[::step]
+        for comp in comps:
+            inside = set(comp)
+            alone = None if prev is None else [v for v in prev if v in inside]
+            assert [v for v in got if v in inside] == lbfs_ref(adj, list(comp), alone)
+        prev = got
 
 
 def test_lbfs_tie_breaks():
     # the edgeless graph is all ties: smallest vertex first, then latest in prev
     G = from_edge_list(5, [])
-    assert _lbfs(G.adj, G.full_mask, None) == [1, 2, 3, 4, 5]
-    assert _lbfs(G.adj, G.full_mask, [2, 5, 1, 4, 3]) == [3, 4, 1, 5, 2]
+    assert _lbfs(G.adj, None) == [1, 2, 3, 4, 5]
+    assert _lbfs(G.adj, [2, 5, 1, 4, 3]) == [3, 4, 1, 5, 2]
     # on the path 1-2-3 the neighbour of the start comes before the non-neighbour
     P = path_graph(3)
-    assert _lbfs(P.adj, P.full_mask, None) == [1, 2, 3]
-    assert _lbfs(P.adj, P.full_mask, [1, 2, 3]) == [3, 2, 1]
-    assert _lbfs(P.adj, 0b101, None) == [1, 3]
-
+    assert _lbfs(P.adj, None) == [1, 2, 3]
+    assert _lbfs(P.adj, [1, 2, 3]) == [3, 2, 1]
 
 
 def _near_miss(n, rng):
@@ -368,31 +374,35 @@ def recognition_graphs(draw):
 @given(recognition_graphs())
 @settings(max_examples=250, deadline=None)
 def test_recognize_component_matches_reference(G):
-    # the prefix-mask test of the third order gives the labeling and facets
-    # of the relabel-and-interval_facets path, and None where it does
-    for comp in component_masks(G):
-        assert _recognize_component(G, comp) == recognize_component_ref(G, comp)
+    # the one closed order of G, split at the gaps of its facet list, gives
+    # the labeling and facets of recognizing each component alone with the
+    # reference sweeps and closedness test, and None where that does
+    assert recognize_closed(G) == recognize_closed_ref(G)
 
 
 @given(recognition_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=250, deadline=None)
 def test_closed_order_facets_matches_reference(G, rng):
-    # any order of a component: closed ones from recognition and their
-    # reversal, and arbitrary shuffles, which are mostly not closed
-    for comp in component_masks(G):
-        order = list(vertices_of(comp))
-        rec = _recognize_component(G, comp)
-        orders = [rng.sample(order, len(order))]
-        if rec is not None:
-            closed_order = sorted(order, key=rec[0].__getitem__)
-            orders += [closed_order, closed_order[::-1]]
-        for o in orders:
-            assert _closed_order_facets(G.adj, o) == closed_order_facets_ref(G.adj, o)
+    # orders of G and of each component alone: recognition's third sweep and
+    # its reversal, closed on every closed component, and arbitrary
+    # shuffles, which are mostly not closed
+    shuffle = random.Random(rng.getrandbits(64))  # one draw, not one per swap
+    pi = None
+    for _ in range(3):
+        pi = _lbfs(G.adj, pi)
+    orders = [shuffle.sample(range(1, G.n + 1), G.n), pi, pi[::-1]]
+    for comp in components_ref(G):
+        inside = set(comp)
+        run = [v for v in pi if v in inside]
+        orders += [shuffle.sample(comp, len(comp)), run, run[::-1]]
+    for o in orders:
+        assert _closed_order_facets(G.adj, o) == closed_order_facets_ref(G.adj, o)
 
 
-def test_recognition_relabels_twice_per_component(monkeypatch):
-    # the two LBFS+ sweeps relabel into the previous order; the closedness
-    # test and the certificate work with prefix masks in G's vertex space
+def test_recognition_relabels_twice_per_graph(monkeypatch):
+    # the two LBFS+ sweeps relabel into the previous order, once each over
+    # all of G whatever its number of components; the closedness test and
+    # the certificate work with prefix masks in G's vertex space
     import edgeideals.closed as closed_mod
 
     calls = []
@@ -411,8 +421,8 @@ def test_recognition_relabels_twice_per_component(monkeypatch):
         G = _shuffled(from_edge_list(n, edges), rng)
         calls.clear()
         assert recognize_closed(G) is not None
-        assert len(component_masks(G)) == len(sizes)
-        assert len(calls) == 2 * len(sizes)
+        assert len(components_ref(G)) == len(sizes)
+        assert calls == [n + 1, n + 1]
 
 # -- relabeling and certification ----------------------------------------------
 
@@ -450,9 +460,9 @@ def test_recognition_refuses_an_asymmetric_adjacency():
 @settings(max_examples=100, deadline=None)
 def test_recognition_fails_on_any_asymmetric_adjacency_with_graph_input_error(G, rng):
     # one half of an edge added or dropped: whichever way recognition fails
-    # (no closed order, overlapping components, the round trip), it raises
-    # GraphInputError; it cannot succeed, since the round trip rebuilds
-    # every closed neighbourhood from symmetric facets
+    # (no closed order, the round trip), it raises GraphInputError; it
+    # cannot succeed, since the round trip rebuilds every closed
+    # neighbourhood from symmetric facets
     assume(G.n >= 2)
     u, v = rng.sample(range(1, G.n + 1), 2)
     adj = list(G.adj)
@@ -518,15 +528,9 @@ def test_component_order_matches_reference(F, rng):
     # equal components keep their order; a component whose flattened tuple
     # is a proper prefix of another's goes after it
     G = _shuffled(build_graph(F), rng)
-    pieces = [(c, *_recognize_component(G, c)) for c in component_masks(G)]
-    perm, facets, off = [0] * (G.n + 1), [], 0
-    for cmask, perm_local, fac in component_order_ref(pieces):
-        for v in vertices_of(cmask):
-            perm[v] = off + perm_local[v]
-        facets += [(a + off, b + off) for a, b in fac.facets]
-        off += fac.n
     lab, got = recognize_closed(G)
-    assert lab.perm == tuple(perm) and got.facets == tuple(facets)
+    assert (lab, got) == recognize_closed_ref(G)
+    pieces = [recognize_component_ref(G, comp) for comp in components_ref(G)]
     # no other order of the components gives a smaller flattened tuple
     assert got.flattened() == min(map(flatten_pieces, permutations(pieces)))
 

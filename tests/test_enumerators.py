@@ -2,12 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from edgeideals.closed import IntervalFacets, build_graph, recognize_closed, reverse_facets
+from edgeideals.closed import IntervalFacets, build_graph, recognize_closed
 from edgeideals.enumerators import (
     enumerate_closed_connected,
     enumerate_closed_indecomposable,
     random_closed,
 )
+
+from conftest import reverse_facets
 
 # regression pins, first computed by the independent chain counter below
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132}

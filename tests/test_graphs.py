@@ -11,7 +11,6 @@ from edgeideals.graphs import (
     Graph,
     bits,
     clique_degree,
-    component_masks,
     components,
     from_edge_list,
     mask_of,
@@ -104,22 +103,19 @@ def test_seven_vertex_example_edges(seven_graph):
 def test_empty_edge_set():
     G = from_edge_list(2, [])
     assert num_edges(G) == 0
-    assert component_masks(G) == [0b01, 0b10]
 
 
 def components_without(G, W):
-    """component_masks of G minus W: W's edges are dropped, and the
-    singletons left at W are not reported."""
-    H = from_edge_list(G.n, [(u, v) for u, v in G.edges() if u not in W and v not in W])
-    wmask = mask_of(W)
-    return [m for m in component_masks(H) if not m & wmask]
+    """Component masks of G minus W, by the table-based `components`."""
+    within = G.full_mask & ~mask_of(W)
+    return list(components(union_table(G.adj[1:]), within))
 
 
 def test_connected_components_examples(seven_graph):
-    assert component_masks(complete_graph(3)) == [0b111]
+    assert components_without(complete_graph(3), ()) == [0b111]
     assert components_without(seven_graph, {3, 4, 5}) == [mask_of((1, 2)), mask_of((6, 7))]
-    assert component_masks(from_edge_list(4, [])) == [0b0001, 0b0010, 0b0100, 0b1000]
-    assert component_masks(Graph(0, (0,))) == []
+    assert components_without(from_edge_list(4, []), ()) == [0b0001, 0b0010, 0b0100, 0b1000]
+    assert components_without(Graph(0, (0,)), ()) == []
 
 
 def _random_graph(n, rng, p):
@@ -128,8 +124,9 @@ def _random_graph(n, rng, p):
 
 
 def test_components_form_partition():
-    # every graph with n <= 5, and sparse and dense graphs with n = 33 and 64
-    # (component masks wider than 32 bits), under a few deletions each
+    # the reference components, which the component tests compare with:
+    # every graph with n <= 5, and sparse and dense graphs with n = 33 and
+    # 64, under a few deletions each
     rng = random.Random(7)
     graphs = [G for n in range(1, 6) for G in all_graphs(n)]
     graphs += [_random_graph(n, rng, p) for n in (33, 64) for p in (0.02, 0.05, 0.3)]
@@ -138,9 +135,7 @@ def test_components_form_partition():
         if G.n > 5:
             deletions.append(set(rng.sample(range(1, G.n + 1), G.n // 2)))
         for W in deletions:
-            masks = components_without(G, W) if W else component_masks(G)
-            parts = tuple(vertices_of(m) for m in masks)
-            assert parts == components_ref(G, W), (G.edges(), W)
+            masks = [mask_of(part) for part in components_ref(G, W)]
             union = 0
             for m in masks:
                 assert not union & m

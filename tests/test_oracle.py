@@ -9,7 +9,7 @@ import pytest
 import edgeideals
 from edgeideals import complexes
 from edgeideals.classify import classify_facets
-from edgeideals.closed import IntervalFacets, reverse_facets
+from edgeideals.closed import IntervalFacets
 from edgeideals.complexes import (
     DEFAULT_FACE_CAP,
     SimplicialComplex,
@@ -30,7 +30,14 @@ from edgeideals.oracle import (
     stanley_reisner_complex,
 )
 
-from conftest import SEVEN_ALMOST, SEVEN_NOT_SCM, claw, complete_graph, depth_hochster_ref
+from conftest import (
+    SEVEN_ALMOST,
+    SEVEN_NOT_SCM,
+    claw,
+    complete_graph,
+    depth_hochster_ref,
+    reverse_facets,
+)
 
 
 def test_initial_ideal_generators():
@@ -314,7 +321,7 @@ def test_report_invariants_hold_under_python_O():
         import sys
         from edgeideals.oracle import OracleReport
         from edgeideals.classify import classify_facets
-        from edgeideals.closed import IntervalFacets, reverse_facets
+        from edgeideals.closed import IntervalFacets
         import dataclasses
         assert False, "this line is stripped under -O"
         try:
