@@ -55,15 +55,16 @@ isomorphic by an order-preserving or order-reversing map of their
 supports, with apexes of one size, share one entry: the depth sweep's
 restrictions in local coordinates and the same subcomplexes met by the
 link recursion in global masks, or the oracle complexes of a facet chain
-and of its reversal.  Each memo stores canonical keys only, so a question
-is first looked up as asked; facets found that way are canonical already,
-and only the others are canonicalized and looked up again (`_lookup`).  A
-`SimplicialComplex` computes its `canonical_key` and its `truncations`
-once, so the criteria asked about one complex share one key per
-truncation, and taking the apex off a canonical key leaves the canonical
-key of its core, which the link-depth memo finds as asked.  A call's
-answer, or its ResourceCapError, is thus a function of the canonical key
-and the cap, not of the calls made before it.
+and of its reversal.  The engine puts each complex in canonical form
+once, where it forms it: a facet truncation by the `canonical_key` of its
+`SimplicialComplex` (computed once, like its `truncations`, so the criteria
+share one key per truncation), a vertex link in `link_depth` and a part
+in the depth sweep.  The core of a canonical key, its apex taken off, is
+one itself.  So each question is one memo probe with the key as passed,
+and the engine leaves canonical keys only in the memos; a key from
+outside that is not canonical gets the same answer without sharing an
+entry.  A call's answer, or its ResourceCapError, is thus a function of
+the canonical key and the cap, not of the calls made before it.
 
 Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
@@ -407,20 +408,6 @@ def _canonical(facets_key: frozenset[int]) -> frozenset[int]:
     return frozenset(masks)
 
 
-def _lookup(memo: dict, facets_key: frozenset[int], cap: int):
-    """(canonical key, memo entry or None) of the facets at the cap.
-
-    A memo stores canonical keys only, so facets found there as they are
-    asked are a canonical key already and skip `_canonical`: this is how a
-    `canonical_key`, or the core of one, is read back.
-    """
-    hit = memo.get((facets_key, cap))
-    if hit is None:
-        facets_key = _canonical(facets_key)
-        hit = memo.get((facets_key, cap))
-    return facets_key, hit
-
-
 # Keyed with the face cap, so that a call's result or its ResourceCapError
 # does not depend on which calls ran before it.
 _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
@@ -428,8 +415,9 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets,
-    computed on its canonical form and memoised under it."""
-    facets_key, hit = _lookup(_profile_cache, facets_key, cap)
+    memoised under (facets, cap) and probed once.  The engine passes
+    canonical keys; other facets get the same answer but no shared entry."""
+    hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
     faces = _faces_of(facets_key, cap)
@@ -469,8 +457,9 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     most the smallest facet size minus 1.  The empty face gives the lowest
     nonzero degree of the complex itself, and the faces through a vertex v
     give 1 + the link depth of lk v, because links of links are links.
-    Memoised on (canonical facets, cap) for complexes without a cone point;
-    the core of a canonical key is found in the memo as it is asked.
+    Memoised on (facets, cap) for complexes without a cone point and probed
+    once.  The engine passes canonical keys and canonicalizes each vertex
+    link as it forms it; other facets get the same answer but no shared entry.
 
     A cone K = simplex(A) * B, with A the vertices in every facet and
     B = {f - A}, has link depth(B) + |A|: a face sigma not containing A has
@@ -480,7 +469,7 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
     apex = _apex(facets_key)
     if apex:
         return link_depth(frozenset(f & ~apex for f in facets_key), cap) + apex.bit_count()
-    facets_key, hit = _lookup(_cm_cache, facets_key, cap)
+    hit = _cm_cache.get((facets_key, cap))
     if hit is not None:
         return hit
     support = union_of(facets_key)
@@ -494,7 +483,8 @@ def link_depth(facets_key: frozenset[int], cap: int) -> int:
             break
         v = 1 << b
         # facets through v, minus v, are already pairwise incomparable
-        result = min(result, 1 + link_depth(frozenset(f & ~v for f in facets_key if f & v), cap))
+        link = _canonical(frozenset(f & ~v for f in facets_key if f & v))
+        result = min(result, 1 + link_depth(link, cap))
     _cm_cache[(facets_key, cap)] = result
     return result
 
@@ -560,7 +550,8 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
 
     Every part of sigma is flooded before any homology is computed: the
     parts take off d_j + 1 >= 1 each, so sigma with c(sigma) parts is
-    skipped when |sigma| - c(sigma) cannot beat the best so far.
+    skipped when |sigma| - c(sigma) cannot beat the best so far.  Each
+    part's facets are canonicalized as they are formed.
     """
     facet_masks = sorted(facets_key)
     nonfaces = _minimal_nonfaces(facet_masks)
@@ -590,7 +581,8 @@ def _pd_sweep(facets_key: frozenset[int], max_faces: int) -> int:
             if cand <= best_pd:
                 continue
             for cc in parts:
-                nz = _profile_masks(_prune_to_maximal(f & cc for f in local_facets), max_faces)
+                part = _canonical(_prune_to_maximal(f & cc for f in local_facets))
+                nz = _profile_masks(part, max_faces)
                 if not nz:
                     break
                 cand -= min(nz)
@@ -630,11 +622,11 @@ def depth_hochster(
     contributes |sigma| - sum(d_j + 1) with d_j the lowest nonzero degree
     of component j.  d_j is read off the facets in the same local
     coordinates, restricted to the component as they are (the apex, taken
-    off, lies in every facet and in no component); a component met again
-    is a `_profile_cache` hit.  All parts are flooded first, and
-    sigma is skipped without homology when |sigma| - c(sigma), with
-    c(sigma) its number of parts, is at most the best contribution so far
-    (0, from sigma = {}, at the start).  The table, 2^m entries for the m
+    off, lies in every facet and in no component) and put in canonical
+    form, so a component met again is a `_profile_cache` hit.  All parts
+    are flooded first, and sigma is skipped without homology when
+    |sigma| - c(sigma), with c(sigma) its number of parts, is at most the
+    best contribution so far (0, from sigma = {}, at the start).  The table, 2^m entries for the m
     vertices of the minimal nonfaces, and the lattice are built only after
     the variable cap is checked.  The sweep runs on C's `canonical_key`,
     and its pd is memoised in `_pd_cache` per (canonical facets, face cap),

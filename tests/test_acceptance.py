@@ -237,3 +237,26 @@ def test_criterion_8_connectivity_bounds_depth(oracle_sweep_n8):
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _report(8, f"depth <= n - kappa + 2 on {checked} non-complete graphs ({tight} with equality)", t0)
+
+
+def test_criterion_9_scm_depth_is_least_facet_size(oracle_sweep_n8):
+    # depth k[Delta] is at most |F| for every facet F (the dimension of an
+    # associated prime), and for an SCM complex it is the least facet size
+    # s: the (s - 1)-skeleton is the pure (s - 1)-skeleton, CM by Duval, so
+    # Smith's depth = 1 + max{i : the i-skeleton is CM} is at least s.  This
+    # checks the depth sweep against the dimension filtration, not links
+    t0 = time.time()
+    scm = short = 0
+    for F, _, rep in oracle_sweep_n8:
+        least = min(m.bit_count() for m in oracle_complex(F).mask_key)
+        assert rep.depth <= least, (F.facets, rep.depth, least)
+        if rep.scm:
+            assert rep.depth == least, (F.facets, rep.depth, least)
+            scm += 1
+        else:
+            short += rep.depth < least
+    # the equality is no tautology: non-SCM graphs fall short of it
+    assert scm and short
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+    _report(9, f"depth = least facet size on {scm} SCM graphs ({short} non-SCM fall short)", t0)

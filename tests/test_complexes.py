@@ -693,6 +693,35 @@ def test_every_memo_keeps_canonical_keys_only():
                 assert _canonical(facets_key) == facets_key
 
 
+class _RecordingMemo(dict):
+    """A memo that records the key of every probe in a shared list."""
+
+    def __init__(self, probes):
+        super().__init__()
+        self.probes = probes
+
+    def get(self, key, default=None):
+        self.probes.append(key)
+        return super().get(key, default)
+
+
+def test_every_memo_probe_uses_a_canonical_key():
+    # each facet family is canonicalized where the engine forms it (a
+    # truncation, a vertex link, a part of the depth sweep), so every
+    # question is one probe with a canonical key; probing a raw vertex link
+    # or sweep part first, and canonicalizing on a miss, fails here
+    probes = []
+    with _cold_caches():
+        for name in ("_profile_cache", "_cm_cache", "_pd_cache"):
+            setattr(complexes, name, _RecordingMemo(probes))
+        for n in range(1, 7):
+            for F in enumerate_closed_connected(n):
+                oracle_classify_facets(F)
+    assert probes
+    for facets_key, _ in probes:
+        assert _canonical(facets_key) == facets_key
+
+
 @st.composite
 def spread_families(draw):
     """Facet families whose support has 0..40 vertices, spread over bits
