@@ -241,13 +241,16 @@ def _cmd_enumerate(config: RunConfig) -> bytes:
         raise GraphInputError("enumerate requires --n")
     if not 1 <= n <= MAX_VERTICES:
         raise GraphInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    if count is not None and count < 0:
+        raise GraphInputError(f"--random COUNT must be >= 0, got {count}")
+    if count is not None and count > RANDOM_COUNT_CAP:
+        raise ResourceCapError(
+            f"random enumeration capped at COUNT <= {RANDOM_COUNT_CAP} (got COUNT = {count})"
+        )
+    # refused whatever COUNT is, not only when a chain is drawn; NaN fails too
+    if not 0.0 <= config.bias <= 1.0:
+        raise GraphInputError(f"density_bias must be in [0, 1], got {config.bias}")
     if count is not None:
-        if count < 0:
-            raise GraphInputError(f"--random COUNT must be >= 0, got {count}")
-        if count > RANDOM_COUNT_CAP:
-            raise ResourceCapError(
-                f"random enumeration capped at COUNT <= {RANDOM_COUNT_CAP} (got COUNT = {count})"
-            )
         if config.indecomposable:
             raise GraphInputError("--indecomposable lists chains exhaustively; it cannot take --random")
         chains = [random_closed(n, config.seed + k, config.bias) for k in range(count)]

@@ -157,14 +157,19 @@ def interval_facets(G: Graph) -> IntervalFacets:
 
     The identity order goes through recognition's closedness test; the
     witness of a non-closed labeling is looked for only after it fails.
+    An asymmetric adjacency raises GraphInputError, as in recognition: the
+    failure path checks symmetry first, and the facets of a passing order
+    go through the round-trip certificate with the identity labeling.
     """
     F = _closed_order_facets(G.adj, list(range(1, G.n + 1)))
     if F is None:
+        _require_symmetric(G)
         present, missing = witness = closed_labeling_witness(G)
         raise NotClosedError(
             f"labeling is not closed: edge {present} forces pair {missing}",
             witness=witness,
         )
+    _verify_roundtrip(G, ClosedLabeling(tuple(range(G.n + 1))), F)
     return F
 
 

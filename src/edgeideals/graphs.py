@@ -52,14 +52,15 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 
 def permute_masks(masks, target) -> list[int]:
-    """Relabel masks: bit v-1 moves to bit target[v], or is dropped if None.
+    """Relabel masks: bit v-1 moves to bit target[v].
 
-    target is indexed by 1-based vertex (target[0] unused) and must cover
-    every bit set in the masks.  The map is read in 4-bit slices: one table
-    of 16 images per nibble, built by doubling, so a mask costs one lookup
-    per nibble instead of one step per set bit.
+    target is indexed by 1-based vertex (target[0] unused), holds an int
+    at every other index, and must cover every bit set in the masks.  The
+    map is read in 4-bit slices: one table of 16 images per nibble, built
+    by doubling, so a mask costs one lookup per nibble instead of one step
+    per set bit.
     """
-    images = [0 if t is None else 1 << t for t in target[1:]]
+    images = [1 << t for t in target[1:]]
     images += [0] * (-len(images) % 4)
     tables = []
     for i in range(0, len(images), 4):
@@ -89,9 +90,9 @@ class Graph:
     refuses a nonzero adj[0], a negative entry or a bit above n, and a
     loop; each check is O(n).  Symmetry is not checked: at n = 36 a full
     check takes about 80 us against about 4 us for these three (Python
-    3.11), so an asymmetric adj is the caller's error.  Recognition, which
-    succeeds only on a symmetric adj, scans for it on its failure paths and
-    reports it as a GraphInputError.
+    3.11), so an asymmetric adj is the caller's error.  Recognition and
+    `interval_facets`, which succeed only on a symmetric adj, refuse an
+    asymmetric one with a GraphInputError.
     """
 
     n: int

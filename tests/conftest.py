@@ -1,6 +1,7 @@
 """Shared fixtures: showcase graphs, small brute-force oracles and the
 test-only reference implementations that the library does not need."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
@@ -8,6 +9,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
+from edgeideals import complexes
 from edgeideals.closed import (
     Block,
     ClosedLabeling,
@@ -43,6 +45,23 @@ SEVEN_NOT_SCM = IntervalFacets(7, ((1, 3), (2, 5), (3, 6), (5, 7)))
 NINE_SCM = IntervalFacets(9, ((1, 3), (2, 6), (3, 7), (4, 8), (5, 9)))
 SEVEN_NOT_ALMOST = IntervalFacets(7, ((1, 4), (3, 6), (5, 7)))
 SEVEN_ALMOST = IntervalFacets(7, ((1, 4), (3, 5), (4, 7)))
+
+
+# The engine's homology memos: the profile, CM and pd (depth sweep) caches.
+ENGINE_MEMOS = ("_profile_cache", "_cm_cache", "_pd_cache")
+
+
+@contextmanager
+def cold_memos():
+    """Run the block with every engine memo empty, then put the old ones back."""
+    saved = [getattr(complexes, name) for name in ENGINE_MEMOS]
+    for name in ENGINE_MEMOS:
+        setattr(complexes, name, {})
+    try:
+        yield
+    finally:
+        for name, memo in zip(ENGINE_MEMOS, saved):
+            setattr(complexes, name, memo)
 
 
 @pytest.fixture
@@ -158,8 +177,7 @@ def permute_masks_ref(masks, target) -> list[int]:
     for m in masks:
         acc = 0
         for b in bits(m):
-            if target[b + 1] is not None:
-                acc |= 1 << target[b + 1]
+            acc |= 1 << target[b + 1]
         out.append(acc)
     return out
 

@@ -10,11 +10,10 @@ these tests load the harness files as they are and pin both hooks.
 import importlib.util
 import os
 
-from edgeideals import complexes
 from edgeideals.closed import IntervalFacets
 from edgeideals.oracle import oracle_classify_facets
 
-from conftest import SEVEN_NOT_SCM
+from conftest import SEVEN_NOT_SCM, cold_memos
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -34,20 +33,18 @@ def test_worker_reads_both_cache_sizes():
     assert all(count > 0 for count in entries.values()), entries
 
 
-def test_tracer_finds_and_sees_every_oracle_layer(monkeypatch):
-    # empty caches, so that every layer really runs whatever ran before
-    monkeypatch.setattr(complexes, "_profile_cache", {})
-    monkeypatch.setattr(complexes, "_cm_cache", {})
-    monkeypatch.setattr(complexes, "_pd_cache", {})
+def test_tracer_finds_and_sees_every_oracle_layer():
     tracer = _load("tracing").Tracer()
-    try:
-        tracer.install()
-        assert tracer.missing == []
-        # a path chain: on ((1,3),(2,4)) every homology core is a join of
-        # complete skeleta, read off without a rank
-        oracle_classify_facets(IntervalFacets(7, ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7))))
-    finally:
-        tracer.uninstall()
+    # empty memos, so that every layer really runs whatever ran before
+    with cold_memos():
+        try:
+            tracer.install()
+            assert tracer.missing == []
+            # a path chain: on ((1,3),(2,4)) every homology core is a join of
+            # complete skeleta, read off without a rank
+            oracle_classify_facets(IntervalFacets(7, ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7))))
+        finally:
+            tracer.uninstall()
     seen = {span[0] for span in tracer.spans}
     assert seen >= {
         "oracle.stanley_reisner_complex",

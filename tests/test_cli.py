@@ -225,6 +225,17 @@ def test_enumerate_outputs():
     code, out, err = run_argv(["enumerate", "--n", "5", "--random", "2", "--bias", "2.5"])
     assert code == EXIT_BAD_INPUT and out == b""
     assert err == b"error 1 density_bias must be in [0, 1], got 2.5\n"
+    # refused whatever COUNT is, also when no chain is drawn, NaN included
+    for extra, bias in ((["--random", "0"], "5"), ([], "5"), ([], "-0.5"),
+                        (["--random", "1"], "nan"), ([], "nan"), (["--indecomposable"], "5")):
+        code, out, err = run_argv(["enumerate", "--n", "4", "--bias", bias] + extra)
+        assert code == EXIT_BAD_INPUT and out == b""
+        assert err == f"error 1 density_bias must be in [0, 1], got {float(bias)}\n".encode()
+    # the COUNT checks come first
+    code, out, err = run_argv(["enumerate", "--n", "4", "--random", "20001", "--bias", "5"])
+    assert code == EXIT_RESOURCE and out == b""
+    code, out, err = run_argv(["enumerate", "--n", "4", "--random", "-1", "--bias", "5"])
+    assert code == EXIT_BAD_INPUT and err == b"error 1 --random COUNT must be >= 0, got -1\n"
     # random chains are drawn without the indecomposability filter, so the
     # combination is refused instead of ignoring --indecomposable
     code, out, err = run_argv(["enumerate", "--n", "8", "--random", "5", "--indecomposable"])

@@ -457,6 +457,17 @@ def test_recognition_refuses_an_asymmetric_adjacency():
         recognize_closed(Graph(3, (0, 0b010, 0, 0)))
 
 
+def test_interval_facets_refuses_an_asymmetric_adjacency():
+    # vertex 3 lists 1 and 2, which do not list 3: the identity order is
+    # not closed, yet every row is a run, so there is no witness to name
+    with pytest.raises(GraphInputError, match="not symmetric: 1 is a neighbour of 3"):
+        interval_facets(Graph(3, (0, 0, 0, 0b011)))
+    # vertex 1 lists 2, which does not list 1: the identity order passes,
+    # with the facets ((1, 2), (3, 3)) of a different, symmetric graph
+    with pytest.raises(GraphInputError, match="not symmetric: 2 is a neighbour of 1"):
+        interval_facets(Graph(3, (0, 0b010, 0, 0)))
+
+
 @given(recognition_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_recognition_fails_on_any_asymmetric_adjacency_with_graph_input_error(G, rng):

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
@@ -31,8 +30,10 @@ from edgeideals.graphs import bits, from_edge_list, mask_of, permute_masks
 from edgeideals.oracle import goodarzi_check, oracle_classify_facets
 
 from conftest import (
+    ENGINE_MEMOS,
     boundary_matrices,
     canonical_ref,
+    cold_memos,
     depth_hochster_ref,
     induced_subcomplex,
     is_cm_reisner_ref,
@@ -609,19 +610,6 @@ def _widened(C, gaps):
     return C, wide, rev
 
 
-@contextmanager
-def _cold_caches():
-    names = ("_profile_cache", "_cm_cache", "_pd_cache")
-    saved = [getattr(complexes, name) for name in names]
-    for name in names:
-        setattr(complexes, name, {})
-    try:
-        yield
-    finally:
-        for name, cache in zip(names, saved):
-            setattr(complexes, name, cache)
-
-
 def _capped_questions(C, cap):
     """Every memoised question about C at cap."""
     return [
@@ -642,7 +630,7 @@ def _answer(ask):
 
 
 def _cold_answer(ask):
-    with _cold_caches():
+    with cold_memos():
         return _answer(ask)
 
 
@@ -672,7 +660,7 @@ def test_canonical_keys_share_every_memo_between_relabelings(case):
         for X in (C, wide, rev) for cap in _CAPS
     }
     assert all(cold[X, cap] == cold[C, cap] for X in (wide, rev) for cap in _CAPS)
-    with _cold_caches():
+    with cold_memos():
         for X in (C, wide, rev):
             for ask in _capped_questions(X, DEFAULT_FACE_CAP):
                 _answer(ask)
@@ -682,11 +670,11 @@ def test_canonical_keys_share_every_memo_between_relabelings(case):
 
 
 def test_every_memo_keeps_canonical_keys_only():
-    with _cold_caches():
+    with cold_memos():
         for n in range(1, 7):
             for F in enumerate_closed_connected(n):
                 oracle_classify_facets(F)
-        memos = (complexes._profile_cache, complexes._cm_cache, complexes._pd_cache)
+        memos = [getattr(complexes, name) for name in ENGINE_MEMOS]
         assert all(memos)
         for memo in memos:
             for facets_key, _ in memo:
@@ -711,8 +699,8 @@ def test_every_memo_probe_uses_a_canonical_key():
     # question is one probe with a canonical key; probing a raw vertex link
     # or sweep part first, and canonicalizing on a miss, fails here
     probes = []
-    with _cold_caches():
-        for name in ("_profile_cache", "_cm_cache", "_pd_cache"):
+    with cold_memos():
+        for name in ENGINE_MEMOS:
             setattr(complexes, name, _RecordingMemo(probes))
         for n in range(1, 7):
             for F in enumerate_closed_connected(n):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -34,6 +35,7 @@ from conftest import (
     SEVEN_ALMOST,
     SEVEN_NOT_SCM,
     claw,
+    cold_memos,
     complete_graph,
     depth_hochster_ref,
     reverse_facets,
@@ -173,12 +175,11 @@ def test_oracle_canonicalizes_each_truncation_once(monkeypatch, F):
         return real(facets_key)
 
     monkeypatch.setattr(complexes, "_canonical", counted)
-    for name in ("_profile_cache", "_cm_cache", "_pd_cache"):
-        monkeypatch.setattr(complexes, name, {})
-    report = oracle_classify_facets(F)
-    assert all(seen[key] <= 1 for key in keys), seen
-    seen.clear()
-    assert oracle_classify_facets(F) == report
+    with cold_memos():
+        report = oracle_classify_facets(F)
+        assert all(seen[key] <= 1 for key in keys), seen
+        seen.clear()
+        assert oracle_classify_facets(F) == report
     assert seen == keys
 
 
@@ -313,6 +314,28 @@ def test_oracle_disconnected_unions_agree_with_classifier():
             r.cm, r.scm, r.almost_cm, r.approx_cm, r.dim_quotient,
         ), (F1.facets, F2.facets)
         assert r.scm == r.scm_goodarzi
+
+
+def test_library_has_no_assert_and_never_reads_debug():
+    # python -O strips assert statements and sets __debug__ to False; with
+    # neither in the library, -O runs the same library code as a plain run,
+    # so every invariant the suite checks holds under -O as well
+    root = os.path.dirname(edgeideals.__file__)
+    found = []
+    for folder, _, names in os.walk(root):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Assert)
+                        or isinstance(node, ast.Name) and node.id == "__debug__"
+                        or isinstance(node, ast.Attribute) and node.attr == "__debug__"):
+                    where = os.path.relpath(path, os.path.dirname(root))
+                    found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "\n".join(found)
 
 
 def test_report_invariants_hold_under_python_O():
