@@ -12,10 +12,10 @@ whole facet list before any matrix:
   * Strong collapses (delete a vertex whose facets all share another
     vertex, prune to maximal facets, repeat; Barmak-Minian 2012).  A
     complex that collapses to a cone is contractible.
-  * A core left without a cone point is tested for the shape of a join of
-    complete skeleta (all k_i-subsets of disjoint vertex classes V_i, read
-    off the minimal nonfaces), whose homology Kuenneth gives without a
-    matrix.
+  * A core left without a cone point whose minimal nonfaces N_i are
+    pairwise disjoint is the join of the simplex boundaries dN_i, a
+    sphere, and its homology is read off their count without a matrix
+    (Bruns-Herzog, Cohen-Macaulay Rings, 5.1).
   * Only the faces of the other cores reach the boundary matrices; a core
     is induced on its vertices, so they are read off the face list.
 
@@ -98,7 +98,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import comb
 from operator import and_
 
 from .errors import ResourceCapError
@@ -288,38 +287,6 @@ def _minimal_nonfaces(facet_masks) -> list[int]:
     return sorted(trans)
 
 
-def _skeleton_join_profile(core: list[int]) -> dict[int, int] | None:
-    """Reduced Betti numbers of a join of complete skeleta, or None when the
-    (nonempty, cone-free) facet list is not one.
-
-    The vertex classes V_i are the components of the 2-section graph of the
-    minimal nonfaces; without a cone point they cover the support.  When
-    every facet meets V_i in k_i vertices and there are prod C(m_i, k_i)
-    facets (m_i = |V_i|), the facets are all such vertex sets, so the
-    complex is the join of the k_i-subsets of the V_i.  The k-subsets of m
-    vertices have reduced homology Q^C(m-1, k) in degree k - 1 only, and by
-    Kuenneth for joins the join has Q^prod C(m_i - 1, k_i) in degree
-    sum k_i - 1.  The facet count is tested first: it is the cheap rejection.
-    """
-    classes: list[int] = []
-    for nf in _minimal_nonfaces(core):
-        merged = nf
-        for c in classes:
-            if c & nf:
-                merged |= c
-        classes = [c for c in classes if not c & nf] + [merged]
-    ks = [(c & core[0]).bit_count() for c in classes]
-    count = rank = 1
-    for c, k in zip(classes, ks):
-        count *= comb(c.bit_count(), k)
-        rank *= comb(c.bit_count() - 1, k)
-    if count != len(core) or any(
-        (c & f).bit_count() != k for f in core for c, k in zip(classes, ks)
-    ):
-        return None
-    return {sum(ks) - 1: rank} if rank else {}
-
-
 def _boundary_column(m: int) -> dict[int, int]:
     """Boundary of the face m as {lower face mask: +-1}, signs alternating
     from the lowest vertex."""
@@ -416,7 +383,14 @@ _profile_cache: dict[tuple[frozenset[int], int], dict[int, int]] = {}
 def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> dict[int, int]:
     """Nonzero reduced Betti numbers of the complex with the given facets,
     memoised under (facets, cap) and probed once.  The engine passes
-    canonical keys; other facets get the same answer but no shared entry."""
+    canonical keys; other facets get the same answer but no shared entry.
+
+    The core left by the strong collapses is empty or a cone (no
+    homology), a sphere read off its minimal nonfaces, or ranked; a
+    complex is determined by its minimal nonfaces, so disjoint ones N_1..N_c
+    on s vertices give the join of the boundaries dN_i, which is S^(s-c-1),
+    and {emptyset} (no nonface) is S^-1.  The void guard comes first: the
+    void complex has the nonface 0, which would read as a sphere."""
     hit = _profile_cache.get((facets_key, cap))
     if hit is not None:
         return hit
@@ -427,12 +401,17 @@ def _profile_masks(facets_key: frozenset[int], cap: int = DEFAULT_FACE_CAP) -> d
     if not core or _apex(core):
         result: dict[int, int] = {}
     else:
-        result = _skeleton_join_profile(core)
-        if result is None:
+        # each core vertex lies in a minimal nonface (else it is a cone
+        # point), so they are pairwise disjoint exactly when their sizes
+        # add up to the support's
+        nonfaces = _minimal_nonfaces(core)
+        support = union_of(core)
+        if sum(nf.bit_count() for nf in nonfaces) == support.bit_count():
+            result = {support.bit_count() - len(nonfaces) - 1: 1}
+        else:
             # the core is the subcomplex induced on its vertices: strong
             # collapses only delete vertices
-            keep = union_of(core)
-            result = _betti_from_faces({f for f in faces if f & keep == f})
+            result = _betti_from_faces({f for f in faces if f & support == f})
     euler_betti = sum(b if d % 2 == 0 else -b for d, b in result.items())
     if euler_faces != euler_betti:
         raise AssertionError(

@@ -30,6 +30,8 @@ _MASK64 = (1 << 64) - 1
 def enumerate_closed_connected(n: int) -> Iterator[IntervalFacets]:
     """All connected facet chains on [n], in lexicographic order of the
     flattened tuple (a_1, b_1, a_2, b_2, ...), each exactly once."""
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n >= 1")
     if n == 1:
@@ -57,6 +59,8 @@ def enumerate_closed_indecomposable(n: int) -> Iterator[IntervalFacets]:
     The condition is vacuous for one facet, so the chain ((1, n),) is
     always yielded, ((1, 1),) at n = 1 included.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n >= 1")
     for F in enumerate_closed_connected(n):
@@ -81,6 +85,8 @@ def random_closed(n: int, seed: int, density_bias: float = 0.5) -> IntervalFacet
     is integral, keyed off splitmix64, so results are reproducible from
     (n, seed, density_bias) alone.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n >= 1")
     if not 0.0 <= density_bias <= 1.0:

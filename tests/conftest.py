@@ -26,7 +26,7 @@ from edgeideals.complexes import (
     _profile_masks,
     _prune_to_maximal,
 )
-from edgeideals.cutsets import CutSetRecord
+from edgeideals.cutsets import CutSetRecord, cutsets_bruteforce
 from edgeideals.enumerators import random_closed
 from edgeideals.errors import GraphInputError, NotClosedError
 from edgeideals.graphs import (
@@ -525,6 +525,31 @@ def maximal_masks_ref(masks) -> frozenset[int]:
     """Reference pruning: the masks contained in no other mask of the family."""
     family = set(masks)
     return frozenset(m for m in family if not any(m != k and m & k == m for k in family))
+
+
+def prime_complex_union_ref(F: IntervalFacets) -> frozenset[int]:
+    """Facet masks of the union, over the cut sets W, of the complexes of
+    in(P_W), in the oracle's coordinates (x_i at bit i - 1, y_j at bit
+    n + j - 1).
+
+    in(P_W) is (x_w, y_w : w in W) plus (x_i y_j : i < j in one component
+    of G - W), so its complex is the join, over the components
+    v_1 < ... < v_m, of the staircases {y_v1..y_vk, x_vk..x_vm}, k = 1..m.
+    The cut sets come from `cutsets_bruteforce` on `build_graph_ref`, and
+    `maximal_masks_ref` prunes the union; nothing of the oracle is used.
+    """
+    n = F.n
+    facets = []
+    for rec in cutsets_bruteforce(build_graph_ref(F)):
+        join = [0]
+        for part in rec.parts:
+            stairs = [
+                sum(1 << (n + v - 1) for v in part[:k]) | sum(1 << (v - 1) for v in part[k - 1:])
+                for k in range(1, len(part) + 1)
+            ]
+            join = [f | g for f in join for g in stairs]
+        facets += join
+    return maximal_masks_ref(facets)
 
 
 def vertex_connectivity_ref(G: Graph) -> int:

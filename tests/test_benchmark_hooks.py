@@ -40,8 +40,9 @@ def test_tracer_finds_and_sees_every_oracle_layer():
         try:
             tracer.install()
             assert tracer.missing == []
-            # a path chain: on ((1,3),(2,4)) every homology core is a join of
-            # complete skeleta, read off without a rank
+            # a path chain: on ((1,3),(2,4)) every homology core is a sphere,
+            # read off its minimal nonfaces without a rank; this one has
+            # cores that reach the ranks
             oracle_classify_facets(IntervalFacets(7, ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7))))
         finally:
             tracer.uninstall()

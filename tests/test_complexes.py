@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +19,6 @@ from edgeideals.complexes import (
     _minimal_nonfaces,
     _profile_masks,
     _prune_to_maximal,
-    _skeleton_join_profile,
     depth_hochster,
     is_cm_reisner,
     is_scm_duval,
@@ -336,9 +336,10 @@ def test_hochster_depth_is_one_plus_link_depth_up_to_dim(C):
 
 @st.composite
 def skeleton_joins(draw):
-    """Facets of the join of the k_i-subsets of disjoint m_i-vertex classes:
-    a simplex boundary (one class, k = m - 1), a cross-polytope (classes of
-    2, k = 1) or a mixed join, with 1 <= k_i < m_i."""
+    """(n, facets, shape) of the join of the k_i-subsets of disjoint
+    m_i-vertex classes, shape listing each (m_i, k_i): a simplex boundary
+    (one class, k = m - 1), a cross-polytope (classes of 2, k = 1) or a
+    mixed join, with 1 <= k_i < m_i."""
     kind = draw(st.sampled_from(["boundary", "cross", "mixed"]))
     if kind == "boundary":
         m = draw(st.integers(2, 7))
@@ -356,14 +357,14 @@ def skeleton_joins(draw):
     facets = [0]
     for factor in factors:
         facets = [f | g for f in facets for g in factor]
-    return start, facets
+    return start, facets, shape
 
 
 @st.composite
 def near_skeleton_joins(draw):
     """A join of complete skeleta with one facet dropped or one vertex (old
     or new) added to one facet, kept only without a cone point."""
-    n, facets = draw(skeleton_joins())
+    n, facets, _ = draw(skeleton_joins())
     i = draw(st.integers(0, len(facets) - 1))
     if draw(st.booleans()) and len(facets) > 1:
         facets = facets[:i] + facets[i + 1:]
@@ -377,22 +378,32 @@ def near_skeleton_joins(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@example((4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100]))  # 2-subsets of 4
+@example((4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100], [(4, 2)]))  # 2-subsets of 4
+@example((3, [0b011, 0b101, 0b110], [(3, 2)]))  # the hollow triangle
 @given(skeleton_joins())
 def test_skeleton_join_profile_is_kuenneth(case):
-    _, facets = case
-    plain = _betti_from_faces(_faces_of(facets, DEFAULT_FACE_CAP))
-    assert _skeleton_join_profile(facets) == plain
-    assert _profile_masks(frozenset(facets)) == plain
+    # the k-subsets of m vertices have Q^C(m - 1, k) in degree k - 1 only,
+    # and Kuenneth for joins multiplies them; the minimal nonfaces are the
+    # (k_i + 1)-subsets of the classes, disjoint (a sphere, read off them)
+    # exactly when every k_i = m_i - 1, and otherwise the ranks answer
+    n, facets, shape = case
+    rank = 1
+    for m, k in shape:
+        rank *= comb(m - 1, k)
+    closed_form = {sum(k for _, k in shape) - 1: rank} if rank else {}
+    sphere = all(k == m - 1 for m, k in shape)
+    assert (sum(nf.bit_count() for nf in _minimal_nonfaces(facets)) == n) == sphere
+    assert _profile_masks(frozenset(facets)) == closed_form
+    assert _betti_from_faces(_faces_of(facets, DEFAULT_FACE_CAP)) == closed_form
 
 
 @settings(max_examples=200, deadline=None)
 @given(near_skeleton_joins())
 def test_skeleton_join_profile_near_misses(case):
-    # the shape test may refuse, but it may not return a wrong profile
+    # one facet off a join of skeleta: the sphere reading, or the ranks,
+    # must still agree with the ranks of the whole face list
     _, facets = case
     plain = _betti_from_faces(_faces_of(facets, DEFAULT_FACE_CAP))
-    assert _skeleton_join_profile(facets) in (None, plain)
     assert _profile_masks(frozenset(facets)) == plain
 
 
@@ -480,9 +491,10 @@ def test_euler_check_catches_a_corrupted_core(monkeypatch):
 
 
 def test_euler_check_catches_a_wrong_shape(monkeypatch):
-    # the hollow triangle is the 2-subsets of 3 vertices, S^1; a shape test
-    # that read it as S^0 is caught against the faces of the piece
-    monkeypatch.setattr(complexes, "_skeleton_join_profile", lambda core: {0: 1})
+    # the hollow triangle has the one minimal nonface 123 and is S^1; two
+    # disjoint nonfaces 1 and 23 would make the sphere reading claim S^0,
+    # which is caught against the faces of the piece
+    monkeypatch.setattr(complexes, "_minimal_nonfaces", lambda facets: [0b001, 0b110])
     monkeypatch.setattr(complexes, "_profile_cache", {})
     with pytest.raises(AssertionError, match="Euler check failed"):
         _profile_masks(simplex_boundary(2).mask_key)

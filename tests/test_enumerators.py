@@ -109,3 +109,11 @@ def test_input_validation():
         list(enumerate_closed_indecomposable(0))
     with pytest.raises(ValueError, match=r"^density_bias must be in \[0, 1\], got 2.5$"):
         random_closed(3, 0, density_bias=2.5)
+    # a non-int n is refused before any arithmetic or range() sees it
+    for bad in (2.5, 3.0, "3"):
+        for call in (lambda: list(enumerate_closed_connected(bad)),
+                     lambda: list(enumerate_closed_indecomposable(bad)),
+                     lambda: random_closed(bad, 1)):
+            with pytest.raises(TypeError) as err:
+                call()
+            assert str(err.value) == f"n must be an int, got {bad!r}"

@@ -38,6 +38,7 @@ from conftest import (
     cold_memos,
     complete_graph,
     depth_hochster_ref,
+    prime_complex_union_ref,
     reverse_facets,
 )
 
@@ -107,6 +108,16 @@ def test_reversal_maps_oracle_complexes():
         for F in enumerate_closed_connected(n):
             got = frozenset(permute_masks(oracle_complex(F).mask_key, swap))
             assert got == oracle_complex(reverse_facets(F)).mask_key, F.facets
+
+
+def test_oracle_complex_is_the_union_of_prime_complexes():
+    # the complex of in(J_G) is the union of those of the in(P_W), one per
+    # cut set: links the brute-force cut sets to the oracle complex, two
+    # modules that share no code
+    graphs = [F for n in range(1, 9) for F in enumerate_closed_connected(n)]
+    assert len(graphs) == 626
+    bad = [F.facets for F in graphs if oracle_complex(F).mask_key != prime_complex_union_ref(F)]
+    assert bad == []
 
 
 def test_depth_golden_values():
