@@ -10,11 +10,11 @@ Run:  python3 demos/cutsets_and_dimension.py
 """
 
 from edgeideals import (
+    CutSetRecord,
     build_graph,
     connected_cutsets,
     cutsets_bruteforce,
     cutsets_structural,
-    filtration_components,
     is_unmixed,
     krull_dimension,
 )
@@ -45,5 +45,5 @@ print()
 
 print("filtration: components of dimension > i survive in the i-th ideal")
 for i in (5, 6, 7):
-    survivors = [list(r.W) for r in filtration_components(recs, i)]
+    survivors = [list(r.W) for r in sorted(recs, key=CutSetRecord.sort_key) if r.dim > i]
     print(f"  i = {i}: {survivors}")

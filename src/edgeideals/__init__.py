@@ -27,7 +27,6 @@ from .cutsets import (
     CutSetRecord,
     cutsets_bruteforce,
     cutsets_structural,
-    filtration_components,
     is_unmixed,
     krull_dimension,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "depth_hochster",
     "enumerate_closed_connected",
     "enumerate_closed_indecomposable",
-    "filtration_components",
     "from_edge_list",
     "goodarzi_check",
     "initial_ideal_generators",

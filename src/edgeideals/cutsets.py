@@ -8,21 +8,29 @@ record (W, c(W), parts) is all downstream formulas ever need.  The quotient
 by that prime has Krull dimension n - |W| + c(W) in the ambient ring with
 2n variables.
 
-Two enumerators are provided: an exhaustive 2^n sweep valid for any graph,
+Two enumerators are provided: an exhaustive subset sweep valid for any graph,
 and the structural one for connected closed graphs that assembles cut sets
 as unions of consecutive-clique intersections subject to a gap condition.
 Their agreement on every connected closed graph is the executable content
 of the structure theorem and is pinned by the acceptance suite.
 
-The exhaustive sweep rests on one lemma: putting back a simplicial vertex
-(its neighbourhood is a clique) joins at most one component of G minus W,
-so it lies in no cut set.  The sweep visits only the subsets of the other
-vertices and tests each w of W as: N(w) minus W meets two components of G
-minus W.  Its one table, `graphs.union_table` of the adjacency, holds the
-neighbourhood union of each vertex mask (4 MB at the n = 20 cap), and
-`graphs.components` floods the parts of each record through it.  The CLI
-`cutsets` command runs it on any graph; it shares no code with the
-structural enumerator.
+The exhaustive sweep rests on two lemmas.  First, putting back a
+simplicial vertex (its neighbourhood is a clique) joins at most one
+component of G minus W, so it lies in no cut set.  Second, if u and v are
+true twins (N[u] = N[v]) and W holds u but not v, then every neighbour of u
+outside W lies in v's component of G minus W, so putting u back joins no
+two components and W is no cut set: every cut set is a union of twin
+classes.  Twin classes are cliques and adjacent classes are completely
+joined, so the sweep runs on the true-twin quotient Q, with q <= n
+vertices, as it would on G.  It visits only the subsets of the
+non-simplicial classes and tests each w of W as: N(w) minus W meets two
+components of Q minus W.  Its one table, `graphs.union_table` of Q's
+adjacency, holds the neighbourhood union of each class mask (2^q words,
+4 MB at q = 20), and `graphs.components` floods the parts of each record
+through it; each W and part is then expanded back to G's vertices.  A
+twin-free graph such as a cycle still has q = n and costs up to 2^n
+subsets.  The CLI `cutsets` command runs the sweep on any graph; it uses no
+closed-graph structure and shares no code with the structural enumerator.
 """
 
 from __future__ import annotations
@@ -32,7 +40,15 @@ from itertools import combinations
 
 from .closed import IntervalFacets, connected_cutsets
 from .errors import ResourceCapError
-from .graphs import Graph, components, simplicial_mask, union_table, vertices_of
+from .graphs import (
+    Graph,
+    bits,
+    components,
+    permute_masks,
+    simplicial_mask,
+    union_table,
+    vertices_of,
+)
 
 BRUTE_FORCE_CAP = 20  # 2^n subset sweep
 
@@ -54,27 +70,43 @@ class CutSetRecord:
         return (len(self.W), self.W)
 
 
-def _record(G: Graph, nb, wmask: int) -> CutSetRecord:
-    """Record of W = wmask, its components flooded through the nb table."""
-    parts = [vertices_of(cc) for cc in components(nb, G.full_mask ^ wmask)]
-    c = len(parts)
-    return CutSetRecord(vertices_of(wmask), c, G.n - wmask.bit_count() + c, tuple(parts))
+def _twin_quotient(G: Graph) -> tuple[Graph, list[int]]:
+    """Q = G with each true-twin class (equal closed neighbourhoods) shrunk to
+    one vertex, and the vertex mask in G of each class.
+
+    Class k is vertex k + 1 of Q; classes come in order of their lowest
+    vertex, so Q's lowest-bit-first order is G's order of smallest vertices.
+    """
+    closed = [a | 1 << v for v, a in enumerate(G.adj[1:])]
+    members: dict[int, int] = {}  # closed neighbourhood -> its class, by first vertex
+    for v, nv in enumerate(closed):
+        members[nv] = members.get(nv, 0) | 1 << v
+    index = {nv: k for k, nv in enumerate(members)}
+    target = [0, *map(index.get, closed)]  # vertex -> its class
+    qadj = [nk ^ 1 << k for k, nk in enumerate(permute_masks(members, target))]
+    return Graph(len(members), (0, *qadj)), list(members.values())
 
 
 def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
-    """All W whose prime is minimal, by the removal test on every W free of simplicial vertices."""
+    """All W whose prime is minimal, by the removal test on the true-twin quotient.
+
+    Every cut set is a union of twin classes, and the components of G minus
+    W are those of the quotient with W read as a set of classes, so the
+    sweep runs on the quotient over the subsets free of simplicial classes.
+    """
     if G.n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {BRUTE_FORCE_CAP} "
                                f"(got n = {G.n}); use the structural enumerator for closed graphs")
-    nb = union_table(G.adj[1:])
-    full = G.full_mask
-    cand = full & ~simplicial_mask(G)
-    records = [_record(G, nb, 0)]
+    Q, classes = _twin_quotient(G)
+    nb = union_table(Q.adj[1:])
+    full = Q.full_mask
+    cand = full & ~simplicial_mask(Q)
+    found = [0]
     wmask = cand & -cand
     while wmask:  # the nonempty subsets of cand, ascending
         rest = full ^ wmask
         w = wmask
-        while w:  # putting back w must join two components of G - W
+        while w:  # putting back w must join two components of Q - W
             low = w & -w
             nw = nb[low] & rest
             cc = nw & -nw
@@ -92,8 +124,27 @@ def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
                 break
             w ^= low
         else:
-            records.append(_record(G, nb, wmask))
+            found.append(wmask)
         wmask = (wmask - cand) & cand
+
+    def expand(qmask: int) -> int:
+        m = 0
+        for k in bits(qmask):
+            m |= classes[k]
+        return m
+
+    part_of: dict[int, tuple[int, ...]] = {}  # component mask of Q -> its vertices in G
+    records = []
+    for wq in found:
+        parts = []
+        for cc in components(nb, full ^ wq):
+            part = part_of.get(cc)
+            if part is None:
+                part = part_of[cc] = vertices_of(expand(cc))
+            parts.append(part)
+        wg = expand(wq)
+        c = len(parts)
+        records.append(CutSetRecord(vertices_of(wg), c, G.n - wg.bit_count() + c, tuple(parts)))
     return tuple(sorted(records, key=CutSetRecord.sort_key))
 
 
@@ -148,13 +199,3 @@ def is_unmixed(records) -> bool:
         raise ValueError("record collection must contain the empty cut set")
     return all(r.c == len(r.W) + base.c for r in recs)
 
-
-def filtration_components(records, i: int) -> tuple[CutSetRecord, ...]:
-    """Records with dim > i: the components surviving in the i-th filtration ideal."""
-    recs = sorted(records, key=CutSetRecord.sort_key)
-    if not recs:
-        raise ValueError("need at least the empty cut set")
-    top = max(r.dim for r in recs)
-    if not -1 <= i <= top - 1:
-        raise ValueError(f"filtration index {i} outside -1..{top - 1}")
-    return tuple(r for r in recs if r.dim > i)

@@ -27,13 +27,24 @@ from .closed import IntervalFacets, is_indecomposable
 _MASK64 = (1 << 64) - 1
 
 
-def enumerate_closed_connected(n: int) -> Iterator[IntervalFacets]:
-    """All connected facet chains on [n], in lexicographic order of the
-    flattened tuple (a_1, b_1, a_2, b_2, ...), each exactly once."""
+def _check_n(n) -> None:
     if not isinstance(n, int):
         raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n >= 1")
+
+
+def enumerate_closed_connected(n: int) -> Iterator[IntervalFacets]:
+    """All connected facet chains on [n], in lexicographic order of the
+    flattened tuple (a_1, b_1, a_2, b_2, ...), each exactly once.
+
+    n is checked on the call, before the first chain is asked for.
+    """
+    _check_n(n)
+    return _connected_chains(n)
+
+
+def _connected_chains(n: int) -> Iterator[IntervalFacets]:
     if n == 1:
         yield IntervalFacets(1, ((1, 1),))
         return
@@ -57,15 +68,9 @@ def enumerate_closed_indecomposable(n: int) -> Iterator[IntervalFacets]:
     """Connected chains with every consecutive intersection of size >= 2.
 
     The condition is vacuous for one facet, so the chain ((1, n),) is
-    always yielded, ((1, 1),) at n = 1 included.
+    always yielded, ((1, 1),) at n = 1 included.  n is checked on the call.
     """
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("n >= 1")
-    for F in enumerate_closed_connected(n):
-        if is_indecomposable(F):
-            yield F
+    return filter(is_indecomposable, enumerate_closed_connected(n))
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -85,10 +90,7 @@ def random_closed(n: int, seed: int, density_bias: float = 0.5) -> IntervalFacet
     is integral, keyed off splitmix64, so results are reproducible from
     (n, seed, density_bias) alone.
     """
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError("n >= 1")
+    _check_n(n)
     if not 0.0 <= density_bias <= 1.0:
         raise ValueError(f"density_bias must be in [0, 1], got {density_bias}")
     if n == 1:

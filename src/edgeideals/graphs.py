@@ -55,7 +55,8 @@ def permute_masks(masks, target) -> list[int]:
     """Relabel masks: bit v-1 moves to bit target[v].
 
     target is indexed by 1-based vertex (target[0] unused), holds an int
-    at every other index, and must cover every bit set in the masks.  The
+    at every other index, and must cover every bit set in the masks.  It
+    need not be one-to-one: bits with the same target merge into one.  The
     map is read in 4-bit slices: one table of 16 images per nibble, built
     by doubling, so a mask costs one lookup per nibble instead of one step
     per set bit.

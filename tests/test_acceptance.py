@@ -86,16 +86,16 @@ def test_criterion_1_golden_showcase_examples():
 def test_criterion_2_cutset_structure_theorem():
     t0 = time.time()
     checked = 0
-    for n in range(1, 11):
+    for n in range(1, 12):
         for F in enumerate_closed_connected(n):
             structural = {r.W: (r.c, r.dim, r.parts) for r in cutsets_structural(F)}
             brute = {r.W: (r.c, r.dim, r.parts) for r in cutsets_bruteforce(build_graph(F))}
             assert structural == brute, F.facets
             checked += 1
-    assert checked == 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430 + 4862
+    assert checked == 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430 + 4862 + 16796 == 23714
     elapsed = time.time() - t0
     assert elapsed < 120.0
-    _report(2, f"structural = brute-force cut sets on {checked} graphs (n <= 10)", t0)
+    _report(2, f"structural = brute-force cut sets on {checked} graphs (n <= 11)", t0)
 
 
 def test_criterion_3_two_clique_depth_formula():

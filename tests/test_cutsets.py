@@ -2,13 +2,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeideals.closed import IntervalFacets, build_graph
 from edgeideals.cutsets import (
     CutSetRecord,
     cutsets_bruteforce,
     cutsets_structural,
-    filtration_components,
     is_unmixed,
     krull_dimension,
 )
@@ -128,26 +128,6 @@ def test_is_unmixed_examples(seven_graph):
     assert is_unmixed(cutsets_bruteforce(complete_graph(6)))
 
 
-def test_filtration_components():
-    F = IntervalFacets(4, ((1, 3), (2, 4)))
-    recs = cutsets_structural(F)
-    dims = sorted(r.dim for r in recs)
-    assert dims == [4, 5]  # n+a-b+1 = 4 and n+1 = 5
-    assert [r.W for r in filtration_components(recs, 4)] == [()]
-    assert len(filtration_components(recs, -1)) == len(recs)
-    top = krull_dimension(recs, 4)
-    assert all(r.dim == top for r in filtration_components(recs, top - 1))
-    with pytest.raises(ValueError):
-        filtration_components(recs, 5)
-
-
-def test_filtration_components_refuses_an_empty_collection():
-    # every record collection of a graph holds the empty cut set
-    for i in (-1, 0):
-        with pytest.raises(ValueError, match="need at least the empty cut set"):
-            filtration_components([], i)
-
-
 def test_record_sorting_is_canonical(seven_graph):
     recs = cutsets_bruteforce(seven_graph)
     assert list(recs) == sorted(recs, key=CutSetRecord.sort_key)
@@ -215,3 +195,40 @@ def test_bruteforce_matches_removal_test_reference_exhaustive():
             got = {r.W: (r.c, r.dim, r.parts) for r in cutsets_bruteforce(G)}
             assert got == cutsets_ref(G), G.edges()
 
+
+
+@st.composite
+def twin_blowups(draw):
+    """A random graph on n <= 10 vertices with each vertex turned into 1-3
+    true twins: the twins of a vertex form a clique, joined completely to the
+    twins of each neighbour.  At most 12 vertices in all, so that cutsets_ref
+    stays fast, and the labels are shuffled, so a class is not a run."""
+    base = draw(random_graphs())
+    spare = 12 - base.n
+    sizes = []
+    for _ in range(base.n):
+        extra = draw(st.integers(0, min(2, spare)))
+        spare -= extra
+        sizes.append(1 + extra)
+    labels = iter(draw(st.permutations(range(1, sum(sizes) + 1))))
+    blowup = [[next(labels) for _ in range(k)] for k in sizes]
+    edges = [e for twins in blowup for e in combinations(twins, 2)]
+    edges += [(x, y) for u, v in base.edges() for x in blowup[u - 1] for y in blowup[v - 1]]
+    return from_edge_list(sum(sizes), edges)
+
+
+@settings(max_examples=80, deadline=None)
+@example(build_graph(IntervalFacets(5, ((1, 4), (2, 5)))))  # twins {2, 3, 4}
+# C_4 with every vertex doubled; the twin classes {r, r + 4} interleave
+@example(from_edge_list(8, [(a, b) for a, b in combinations(range(1, 9), 2) if (b - a) % 4 != 2]))
+@given(twin_blowups())
+def test_bruteforce_on_twin_blowups(G):
+    recs = cutsets_bruteforce(G)
+    assert {r.W: (r.c, r.dim, r.parts) for r in recs} == cutsets_ref(G)
+    twins = {}  # closed neighbourhood -> the vertices that have it
+    for v in range(1, G.n + 1):
+        closed = frozenset(u for u in range(1, G.n + 1) if u == v or has_edge(G, u, v))
+        twins.setdefault(closed, set()).add(v)
+    for r in recs:
+        for cls in twins.values():
+            assert not cls & set(r.W) or cls <= set(r.W), (r.W, cls)

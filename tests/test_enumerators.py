@@ -103,16 +103,17 @@ def test_random_closed_bias_extremes():
 
 
 def test_input_validation():
+    # both enumerators check n on the call, not at the first next()
     with pytest.raises(ValueError):
-        list(enumerate_closed_connected(0))
+        enumerate_closed_connected(0)
     with pytest.raises(ValueError):
-        list(enumerate_closed_indecomposable(0))
+        enumerate_closed_indecomposable(0)
     with pytest.raises(ValueError, match=r"^density_bias must be in \[0, 1\], got 2.5$"):
         random_closed(3, 0, density_bias=2.5)
     # a non-int n is refused before any arithmetic or range() sees it
     for bad in (2.5, 3.0, "3"):
-        for call in (lambda: list(enumerate_closed_connected(bad)),
-                     lambda: list(enumerate_closed_indecomposable(bad)),
+        for call in (lambda: enumerate_closed_connected(bad),
+                     lambda: enumerate_closed_indecomposable(bad),
                      lambda: random_closed(bad, 1)):
             with pytest.raises(TypeError) as err:
                 call()

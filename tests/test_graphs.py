@@ -289,6 +289,9 @@ def test_permute_masks_matches_bitwise_reference(n, rng):
     target = [None] + rng.sample(range(64), n)
     masks = [rng.getrandbits(n) for _ in range(8)] + [0, (1 << n) - 1]
     assert permute_masks(masks, target) == permute_masks_ref(masks, target)
+    # many-to-one targets: bits sent to the same place merge
+    target = [None] + [rng.randrange(max(1, n // 3)) for _ in range(n)]
+    assert permute_masks(masks, target) == permute_masks_ref(masks, target)
 
 
 def test_permute_masks_full_word_and_ragged_tail():
