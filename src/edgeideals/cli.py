@@ -66,14 +66,24 @@ class RunConfig:
 
 
 def _detect_and_parse(data: bytes) -> Graph:
-    """Parse edge-list or facet text into a graph."""
+    """Parse edge-list or facet text into a graph.
+
+    The first token of the first line that is neither blank nor a comment
+    decides the format.  Every line break of str.splitlines is whitespace
+    to str.split, so unless the text opens with a comment that token is
+    the first token of the whole text, found without splitting it into lines.
+    """
     text = data.decode("utf-8-sig")
+    head = text.lstrip()
     first = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            first = line.split()[0]
-            break
+    if head[:1] not in ("", "#"):
+        first = head.split(None, 1)[0]
+    else:
+        for raw in head.splitlines():
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                first = line.split()[0]
+                break
     if first is None:
         raise GraphInputError("empty input")
     if first == "closed":

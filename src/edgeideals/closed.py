@@ -14,24 +14,31 @@ pass.  `_neighbourhoods` yields the closed neighbourhood of each label,
 the interval from the first facet containing it to the last; it builds
 the graph of the facets and certifies recognition's labeling.
 
-Recognition runs a three-sweep lexicographic BFS over all of G (LBFS
-then two LBFS+ sweeps, Corneil's proper-interval scheme) and then
-*verifies* the candidate ordering with the consecutive-neighbourhood test,
-so a positive answer is always certified; an exhaustive all-labelings
-oracle lives in the test suite only.  Each sweep is partition refinement
-on bit masks: the unvisited vertices form an ordered list of class masks,
+Recognition runs a three-sweep lexicographic BFS (LBFS then two LBFS+
+sweeps, Corneil's proper-interval scheme) and then *verifies* the
+candidate ordering with the consecutive-neighbourhood test, so a positive
+answer is always certified; an exhaustive all-labelings oracle lives in
+the test suite only.  The sweeps run on the true-twin quotient Q of G
+(`graphs.twin_quotient`: equal closed neighbourhoods merged, classes
+indexed by their lowest vertex), which is G itself when G has no twins.
+A graph is closed exactly when Q is (Deng-Hell-Huang), and Q's third
+order, each class listed in ascending label, is G's own third sweep on
+every closed G (`_third_sweep` gives the argument), so labelings and
+facets are those of sweeping G.  Each sweep is partition refinement on
+bit masks: the unvisited vertices form an ordered list of class masks,
 and visiting v splits every class k into k & N(v) followed by the rest.
 A sweep finishes a component before it starts the next, as unvisited
 vertices of a started component have the larger labels, so the
 components fall out of the third order as the gaps of its facet list.
-The first sweep runs in G's own vertex space; the LBFS+ sweeps run in the
+The first sweep runs in Q's own vertex space; the LBFS+ sweeps run in the
 rank space of the previous order (bit r stands for its r-th vertex), so
 each tie-break is the lowest or the highest bit of the first class.
-Those two sweeps are the only relabelings (`permute_masks`) per graph.
-The closedness test of the third order and the round-trip certificate of
-the final labeling stay in G's vertex space: both compare each closed
-neighbourhood with a difference of two prefix masks, the vertices among
-the first k of an order.
+Building Q (skipped when G has no twins) and those two sweeps are the
+only relabelings (`permute_masks`) per graph.  The closedness test of the
+expanded third order and the round-trip certificate of the final labeling
+stay in G's vertex space: both compare each closed neighbourhood with a
+difference of two prefix masks, the vertices among the first k of an
+order.  So every "yes" is certified in G, and every "no" is complete.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import MAX_VERTICES, Graph, bits, permute_masks
+from .graphs import MAX_VERTICES, Graph, bits, permute_masks, twin_quotient
 
 
 @dataclass(frozen=True)
@@ -284,8 +291,54 @@ def _closed_order_facets(adj, order: list[int]) -> IntervalFacets | None:
     return IntervalFacets(len(order), tuple(facets))
 
 
+def _third_sweep(G: Graph) -> list[int]:
+    """The third of recognition's sweeps, run on the true-twin quotient Q.
+
+    The three `_lbfs` sweeps run over Q's classes, and the third order is
+    expanded class by class, each class in ascending label.  On every
+    closed G this is G's own third sweep:
+      * true twins share a partition class in every sweep until one of
+        them is visited (a visit splits no twin class), and the rest of
+        them stay in the first class until visited;
+      * the first sweep meets the classes in Q's order, as a class's
+        lowest vertex is its tie-break there, and lists twins ascending;
+        each LBFS+ sweep breaks ties by the previous order, so reverses
+        them, and the third lists them ascending again;
+      * the third sweep of a closed G is a closed order (Corneil), and in
+        any closed order twins are consecutive: a vertex between two twins
+        has their closed neighbourhood, so it is their twin;
+      * so G's third sweep is a closed order of Q, expanded; a connected
+        twin-free closed graph, as each component of Q is, has one closed
+        order up to reversal, and the direction follows from the class in
+        which the first sweep ends, where the second starts.
+    The tests check the equality against the reference sweeps of G, on
+    every labeled graph with n <= 6 and on sampled twin-heavy graphs.  On
+    a G that is not closed the two may differ, but then neither order is
+    closed: Q is closed exactly when G is.
+    """
+    qadj, classes = twin_quotient(G)
+    pi = _lbfs(qadj, _lbfs(qadj, _lbfs(qadj, None)))
+    if qadj is G.adj:
+        return pi
+    order = []
+    for k in pi:  # class k's vertices, lowest first
+        m = classes[k - 1]
+        while m:
+            low = m & -m
+            order.append(low.bit_length())
+            m ^= low
+    return order
+
+
 def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """Decide closedness; on success return a canonical labeling and facets.
+
+    The three sweeps run on the true-twin quotient Q, and Q's third order
+    is expanded into G's vertices, each twin class in ascending label
+    (`_third_sweep`, which argues that this is G's own third sweep when G
+    is closed).  The closedness test, the pieces and the certificate below
+    work on that order in G's vertex space, so a "yes" is certified in G;
+    a "no" is complete because Q is closed exactly when G is.
 
     The third sweep lists each component as one run, and in a closed order
     the facet list of each run is a connected one, so the components are
@@ -307,9 +360,7 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     """
     if G.n < 1:
         raise GraphInputError("recognition needs at least one vertex")
-    pi1 = _lbfs(G.adj, None)
-    pi2 = _lbfs(G.adj, pi1)
-    pi3 = _lbfs(G.adj, pi2)
+    pi3 = _third_sweep(G)
     F = _closed_order_facets(G.adj, pi3)
     if F is None:
         _require_symmetric(G)

@@ -21,16 +21,17 @@ true twins (N[u] = N[v]) and W holds u but not v, then every neighbour of u
 outside W lies in v's component of G minus W, so putting u back joins no
 two components and W is no cut set: every cut set is a union of twin
 classes.  Twin classes are cliques and adjacent classes are completely
-joined, so the sweep runs on the true-twin quotient Q, with q <= n
-vertices, as it would on G.  It visits only the subsets of the
-non-simplicial classes and tests each w of W as: N(w) minus W meets two
-components of Q minus W.  Its one table, `graphs.union_table` of Q's
-adjacency, holds the neighbourhood union of each class mask (2^q words,
-4 MB at q = 20), and `graphs.components` floods the parts of each record
-through it; each W and part is then expanded back to G's vertices.  A
-twin-free graph such as a cycle still has q = n and costs up to 2^n
-subsets.  The CLI `cutsets` command runs the sweep on any graph; it uses no
-closed-graph structure and shares no code with the structural enumerator.
+joined, so the sweep runs on the true-twin quotient Q
+(`graphs.twin_quotient`, shared with recognition), with q <= n vertices,
+as it would on G.  It visits only the subsets of the non-simplicial
+classes and tests each w of W as: N(w) minus W meets two components of Q
+minus W.  Its one table, `graphs.union_table` of Q's adjacency, holds the
+neighbourhood union of each class mask (2^q words, 4 MB at q = 20), and
+`graphs.components` floods the parts of each record through it; each W
+and part is then expanded back to G's vertices.  A twin-free graph such
+as a cycle still has q = n and costs up to 2^n subsets.  The CLI
+`cutsets` command runs the sweep on any graph; it uses no closed-graph
+structure and shares no code with the structural enumerator.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .graphs import (
     Graph,
     bits,
     components,
-    permute_masks,
     simplicial_mask,
+    twin_quotient,
     union_table,
     vertices_of,
 )
@@ -70,23 +71,6 @@ class CutSetRecord:
         return (len(self.W), self.W)
 
 
-def _twin_quotient(G: Graph) -> tuple[Graph, list[int]]:
-    """Q = G with each true-twin class (equal closed neighbourhoods) shrunk to
-    one vertex, and the vertex mask in G of each class.
-
-    Class k is vertex k + 1 of Q; classes come in order of their lowest
-    vertex, so Q's lowest-bit-first order is G's order of smallest vertices.
-    """
-    closed = [a | 1 << v for v, a in enumerate(G.adj[1:])]
-    members: dict[int, int] = {}  # closed neighbourhood -> its class, by first vertex
-    for v, nv in enumerate(closed):
-        members[nv] = members.get(nv, 0) | 1 << v
-    index = {nv: k for k, nv in enumerate(members)}
-    target = [0, *map(index.get, closed)]  # vertex -> its class
-    qadj = [nk ^ 1 << k for k, nk in enumerate(permute_masks(members, target))]
-    return Graph(len(members), (0, *qadj)), list(members.values())
-
-
 def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
     """All W whose prime is minimal, by the removal test on the true-twin quotient.
 
@@ -97,7 +81,8 @@ def cutsets_bruteforce(G: Graph) -> tuple[CutSetRecord, ...]:
     if G.n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"brute-force cut-set sweep capped at n <= {BRUTE_FORCE_CAP} "
                                f"(got n = {G.n}); use the structural enumerator for closed graphs")
-    Q, classes = _twin_quotient(G)
+    qadj, classes = twin_quotient(G)
+    Q = Graph(len(classes), qadj)
     nb = union_table(Q.adj[1:])
     full = Q.full_mask
     cand = full & ~simplicial_mask(Q)

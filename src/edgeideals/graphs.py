@@ -16,13 +16,14 @@ from array import array
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
-from operator import or_
+from operator import or_, xor
 from typing import NoReturn
 
 from .errors import GraphInputError
 
 MAX_VERTICES = 64
 _FILL_CHUNK = 1 << 12  # words per slice of the union_table fill
+_BIT = [1 << b for b in range(MAX_VERTICES)]  # _BIT[b] is bit b
 
 
 def bits(mask: int):
@@ -233,6 +234,31 @@ def simplicial_mask(G: Graph) -> int:
     return out
 
 
+def twin_quotient(G: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """The true-twin quotient Q of G: its adjacency and the mask of each class.
+
+    True twins have equal closed neighbourhoods; each class of them shrinks
+    to one vertex of Q.  Class k is vertex k + 1 of Q, and the classes come
+    in order of their lowest vertex, so Q's lowest-bit-first order is G's
+    order of smallest vertices.  The adjacency is indexed like `Graph.adj`
+    (entry 0 is 0) and has no loops; a twin-free G (q = n) returns its own
+    adjacency, G.adj itself, with the single bits as classes.  Twin classes
+    are cliques and two adjacent classes are completely joined, so every
+    edge of Q stands for all edges between its two classes.
+    """
+    adj = G.adj
+    closed = [*map(or_, islice(adj, 1, None), _BIT)]
+    members = dict.fromkeys(closed, 0)  # closed neighbourhood -> its class mask
+    if len(members) == G.n:
+        return adj, _BIT[: G.n]
+    for nv, b in zip(closed, _BIT):
+        members[nv] |= b
+    index = dict(zip(members, range(len(members))))
+    target = [0, *map(index.__getitem__, closed)]  # vertex -> its class
+    # class k's closed neighbourhood holds bit k, its own; drop it
+    return (0, *map(xor, permute_masks(members, target), _BIT)), [*members.values()]
+
+
 # -- edge-list text format ---------------------------------------------------
 #
 #   first non-comment line: "n"
@@ -240,26 +266,53 @@ def simplicial_mask(G: Graph) -> int:
 #   lines starting with '#' are comments; blank lines are skipped
 
 
+# The tokens of canonical text are "0".."64", read by one dict lookup each.
+# Canonical text is ASCII, and "\n" must be its only line break: it holds
+# none of the other ASCII characters that str.splitlines breaks at, nor the
+# ";" that stands for "\n" among the tokens.
+_TOKEN_VALUE = {str(i): i for i in range(MAX_VERTICES + 1)}
+_NOT_CANONICAL = "\r\x0b\x0c\x1c\x1d\x1e;"
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; malformed input raises GraphInputError.
 
-    Valid input takes bulk passes that run in C: one split per line, one
-    int() over every token, a min/max range check and one loop that sets
-    the adjacency bits.  Any failure hands the text to `_edge_list_error`,
-    which finds and raises the first error as a line-by-line scan would.
+    Canonical text (ASCII, "\\n" the only line break, a header line and
+    then "u v" lines, no comment or blank line inside) is split once, each
+    "\\n" turned into a ";" token: the tokens read n ; u v ; u v ..., with
+    perhaps a ";" at the end, so every third token from the second must be
+    ";", and the others are read through a lookup of "0".."64".  Telling
+    canonical text takes one substring search per refused character and
+    no memory of its own.  Any other text takes bulk passes that run in C:
+    one split per line, one int() over every token.  Both end in a min/max
+    range check and one loop that sets the adjacency bits.  Any failure
+    hands the text to `_edge_list_error`, which finds and raises the first
+    error as a line-by-line scan would.
     """
-    rows = [*filter(None, map(str.split, text.splitlines()))]
-    if "#" in text:
-        rows = [r for r in rows if r[0][0] != "#"]
-    if not rows or len(rows[0]) != 1 or set(map(len, islice(rows, 1, None))) - {2}:
-        _edge_list_error(text)
-    try:
-        n, *ends = map(int, chain.from_iterable(rows))
-    except ValueError:
-        _edge_list_error(text)
+    n = None
+    if text.isascii() and not any(map(text.__contains__, _NOT_CANONICAL)):
+        toks = text.replace("\n", " ; ").split()
+        # as many ";" as places for one: any ";" out of place leaves one
+        # among the other tokens, which the lookup refuses
+        if len(toks) % 3 and toks.count(";") == (len(toks) + 1) // 3:
+            del toks[1::3]
+            try:
+                n, *ends = map(_TOKEN_VALUE.__getitem__, toks)
+            except KeyError:
+                pass
+    if n is None:
+        rows = [*filter(None, map(str.split, text.splitlines()))]
+        if "#" in text:
+            rows = [r for r in rows if r[0][0] != "#"]
+        if not rows or len(rows[0]) != 1 or set(map(len, islice(rows, 1, None))) - {2}:
+            _edge_list_error(text)
+        try:
+            n, *ends = map(int, chain.from_iterable(rows))
+        except ValueError:
+            _edge_list_error(text)
     if not 1 <= n <= MAX_VERTICES or ends and not (1 <= min(ends) and max(ends) <= n):
         _edge_list_error(text)
-    bit = [0] + [1 << i for i in range(n)]  # bit[v] is vertex v's bit
+    bit = [0, *_BIT[:n]]  # bit[v] is vertex v's bit
     adj = [0] * (n + 1)
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):

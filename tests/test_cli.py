@@ -77,6 +77,21 @@ def test_input_with_a_byte_order_mark():
         assert out == run_argv(["classify"], text)[1]
 
 
+def test_format_is_read_off_the_first_line_that_is_not_blank_or_a_comment():
+    # blank lines, comments and line breaks of any kind may come first, after
+    # a BOM or not; input with no such line is empty
+    bom = b"\xef\xbb\xbf"
+    for text in ("closed 3 2\n1 2\n2 3\n", "3\n1 2\n2 3\n"):
+        want = run_argv(["facets"], text.encode())
+        assert want[0] == EXIT_OK
+        for lead in ("\n", " \t\n", "# 1 2\n", "#closed\n\n  # x\n", "\x0b", "\x85", "\u2028"):
+            for head in (b"", bom):
+                assert run_argv(["facets"], head + (lead + text).encode()) == want, (lead, text)
+    for text in ("", " ", "\n\n", "\x0b\x85 \t\u2028", "# only a comment\n"):
+        for head in (b"", bom):
+            assert run_argv(["facets"], head + text.encode()) == (EXIT_BAD_INPUT, b"", b"error 1 empty input\n")
+
+
 def test_malformed_input_exit_1():
     code, _, err = run_argv(["classify"], b"banana\n")
     assert code == EXIT_BAD_INPUT and err.startswith(b"error 1 ")

@@ -11,6 +11,7 @@ from edgeideals.closed import (
     IntervalFacets,
     _closed_order_facets,
     _lbfs,
+    _third_sweep,
     _verify_roundtrip,
     build_graph,
     connected_cutsets,
@@ -22,7 +23,7 @@ from edgeideals.closed import (
     recognize_closed,
 )
 from edgeideals.errors import GraphInputError, NotClosedError
-from edgeideals.graphs import Graph, from_edge_list, permute_masks
+from edgeideals.graphs import Graph, from_edge_list, permute_masks, twin_quotient
 from edgeideals.enumerators import enumerate_closed_connected, random_closed
 
 from conftest import (
@@ -280,18 +281,25 @@ def _closed_graph(n, rng):
     return _shuffled(build_graph(random_closed(n, rng.getrandbits(64), rng.random())), rng)
 
 
-def _twin_heavy(rng):
-    # a small closed graph with every vertex blown up into a clique of twins
-    k = rng.randint(1, 8)
-    base = build_graph(random_closed(k, rng.getrandbits(64), rng.random()))
-    sizes = [rng.randint(1, 64 // k) for _ in range(k)]
+def _blow_up(base, rng, cap=64):
+    # every vertex of base blown up into a clique of true twins, at most cap
+    # vertices in all; labels not shuffled
+    k = base.n
+    sizes = [rng.randint(1, cap // k) for _ in range(k)]
     start = [1]
     for t in sizes:
         start.append(start[-1] + t)
     blob = lambda v: range(start[v - 1], start[v])
     edges = [(x, y) for v in range(1, k + 1) for x in blob(v) for y in blob(v) if x < y]
     edges += [(x, y) for u, v in base.edges() for x in blob(u) for y in blob(v)]
-    return _shuffled(from_edge_list(start[-1] - 1, edges), rng)
+    return from_edge_list(start[-1] - 1, edges)
+
+
+def _twin_heavy(rng, cap=64):
+    # a small closed graph with every vertex blown up into a clique of twins
+    k = rng.randint(1, 8)
+    base = build_graph(random_closed(k, rng.getrandbits(64), rng.random()))
+    return _shuffled(_blow_up(base, rng, cap), rng)
 
 
 def _pieces(rng):
@@ -362,14 +370,72 @@ def _near_miss(n, rng):
     return from_edge_list(n, set(G.edges()) ^ {(min(u, v), max(u, v))})
 
 
+def _twin_copies(rng):
+    # a disjoint union of identical twin-heavy pieces: equal component keys
+    copies = rng.randint(2, 4)
+    piece = _twin_heavy(rng, 64 // copies)
+    edges = [(u + i * piece.n, v + i * piece.n) for i in range(copies) for u, v in piece.edges()]
+    return _shuffled(from_edge_list(copies * piece.n, edges), rng)
+
+
+def _twin_near_miss(rng):
+    # a near miss that is not closed, blown up: twins in a graph that is not closed
+    base = _near_miss(rng.randint(4, 8), rng)
+    while recognize_closed_ref(base) is not None:
+        base = _near_miss(base.n, rng)
+    return _shuffled(_blow_up(base, rng), rng)
+
+
+def _twin_free(n, rng):
+    # a path or a cycle on at least 4 vertices: no true twins, so q = n
+    n = max(n, 4)
+    edges = [(v, v + 1) for v in range(1, n)] + [(1, n)] * (rng.random() < 0.5)
+    return _shuffled(from_edge_list(n, edges), rng)
+
+
 @st.composite
 def recognition_graphs(draw):
     rng = random.Random(draw(st.randoms(use_true_random=False)).getrandbits(64))
-    kind = draw(st.sampled_from(("closed", "twins", "near_miss", "gnp")))
+    kind = draw(st.sampled_from(
+        ("closed", "twins", "near_miss", "gnp", "twin_near_miss", "twin_copies", "twin_free")))
     if kind == "twins":
         return _twin_heavy(rng)
+    if kind == "twin_near_miss":
+        return _twin_near_miss(rng)
+    if kind == "twin_copies":
+        return _twin_copies(rng)
     n = draw(st.integers(1, 64))
-    return {"closed": _closed_graph, "near_miss": _near_miss, "gnp": _random_graph}[kind](n, rng)
+    return {"closed": _closed_graph, "near_miss": _near_miss, "gnp": _random_graph,
+            "twin_free": _twin_free}[kind](n, rng)
+
+
+def twin_quotient_ref(G):
+    """Reference true-twin quotient: classes by closed neighbourhood in order
+    of lowest vertex, and an edge between two classes where their lowest
+    vertices are adjacent."""
+    closed = [G.adj[v] | 1 << (v - 1) for v in range(1, G.n + 1)]
+    lows = [v for v in range(1, G.n + 1) if closed[v - 1] not in closed[: v - 1]]
+    classes = [sum(1 << (u - 1) for u in range(1, G.n + 1) if closed[u - 1] == closed[v - 1])
+               for v in lows]
+    qadj = [sum(1 << j for j, w in enumerate(lows) if w != v and has_edge(G, v, w)) for v in lows]
+    return (0, *qadj), classes
+
+
+@given(recognition_graphs())
+@settings(max_examples=250, deadline=None)
+def test_quotient_third_sweep_is_the_third_sweep_of_g(G):
+    # recognition sweeps the true-twin quotient Q (G itself when it has no
+    # twins) and lists each class of Q's third order in ascending label; on
+    # every closed G that is the third sweep of G itself
+    qadj, classes = twin_quotient(G)
+    assert (qadj, classes) == twin_quotient_ref(G)
+    assert (qadj is G.adj) == (len(classes) == G.n)
+    adj = dict(enumerate(G.adj))
+    pi = None
+    for _ in range(3):
+        pi = lbfs_ref(adj, list(range(1, G.n + 1)), pi)
+    if closed_order_facets_ref(G.adj, pi) is not None:  # G is closed
+        assert _third_sweep(G) == pi
 
 
 @given(recognition_graphs())
@@ -401,10 +467,13 @@ def test_closed_order_facets_matches_reference(G, rng):
 
 
 def test_recognition_relabels_twice_per_graph(monkeypatch):
-    # the two LBFS+ sweeps relabel into the previous order, once each over
-    # all of G whatever its number of components; the closedness test and
-    # the certificate work with prefix masks in G's vertex space
+    # one relabeling of G's closed neighbourhoods into the true-twin
+    # quotient Q, skipped when G has no twins (q = n), then the two LBFS+
+    # sweeps relabel into the previous order, once each over the q classes
+    # whatever the number of components; the closedness test and the
+    # certificate work with prefix masks in G's vertex space
     import edgeideals.closed as closed_mod
+    import edgeideals.graphs as graphs_mod
 
     calls = []
 
@@ -413,17 +482,25 @@ def test_recognition_relabels_twice_per_graph(monkeypatch):
         return permute_masks(masks, target)
 
     monkeypatch.setattr(closed_mod, "permute_masks", counting)
+    monkeypatch.setattr(graphs_mod, "permute_masks", counting)
     rng = random.Random(5)
+    cases = [_shuffled(path_graph(12), rng), _shuffled(complete_graph(7), rng)]
     for sizes in ((1,), (9,), (64,), (3, 1, 5), (16, 16, 16, 16), (1,) * 10):
         edges, n = [], 0
         for size in sizes:  # a disjoint union of connected closed graphs
             edges += [(u + n, v + n) for u, v in _closed_graph(size, rng).edges()]
             n += size
-        G = _shuffled(from_edge_list(n, edges), rng)
+        cases.append(_shuffled(from_edge_list(n, edges), rng))
+    seen = set()
+    for G in cases:
+        n = G.n
+        q = len({G.adj[v] | 1 << (v - 1) for v in range(1, n + 1)})
         calls.clear()
         assert recognize_closed(G) is not None
-        assert len(components_ref(G)) == len(sizes)
-        assert calls == [n + 1, n + 1]
+        assert calls == [n + 1] * (q < n) + [q + 1, q + 1]
+        seen.add(q < n)
+    assert seen == {False, True}
+
 
 # -- relabeling and certification ----------------------------------------------
 

@@ -268,8 +268,26 @@ def _parse_outcome(parse, text):
         return str(exc)
 
 
+K64_TEXT = "64\n" + "".join(f"{u} {v}\n" for u in range(1, 65) for v in range(u + 1, 65))
+
+
 @given(edge_list_texts())
 @example("3\r\n1\xa02\x0b\n# c\x852\u20033\r\n2 1\n")
+# the edges of the one-split path for canonical text: a header alone, with
+# and without its line break; no final line break; a trailing blank line;
+# CR LF; an in-line separator that is whitespace but no line break; tokens
+# int() reads but the lookup does not; the ";" that stands for a line
+# break; a header out of range; the largest input
+@example("3")
+@example("3\n")
+@example("3\n1 2")
+@example("3\n1 2\n\n")
+@example("3\r\n1 2\r\n")
+@example("3\n1\x1f2\n")
+@example("3\n007 2\n")
+@example("3\n1 2 ;\n")
+@example("65\n1 2\n")
+@example(K64_TEXT)
 @example("2\n\u0661 \u0662\n")  # int() reads any Unicode decimal digits
 @example("9" * 5000 + "\n")  # past int()'s digit limit
 @settings(max_examples=400, deadline=None)
