@@ -32,7 +32,7 @@ from .complexes import DEFAULT_FACE_CAP, DEFAULT_VAR_CAP
 from .cutsets import cutsets_bruteforce
 from .enumerators import enumerate_closed_connected, enumerate_closed_indecomposable, random_closed
 from .errors import GraphInputError, NotClosedError, ResourceCapError
-from .graphs import MAX_VERTICES, Graph, parse_edge_list
+from .graphs import MAX_VERTICES, Graph, _text_rows, parse_edge_list
 from .oracle import OracleReport, oracle_classify_facets
 
 SCHEMA = "1"
@@ -75,15 +75,10 @@ def _detect_and_parse(data: bytes) -> Graph:
     """
     text = data.decode("utf-8-sig")
     head = text.lstrip()
-    first = None
     if head[:1] not in ("", "#"):
         first = head.split(None, 1)[0]
     else:
-        for raw in head.splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                first = line.split()[0]
-                break
+        first = next((fields[0] for _, _, fields in _text_rows(head)), None)
     if first is None:
         raise GraphInputError("empty input")
     if first == "closed":

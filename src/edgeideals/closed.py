@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphInputError, NotClosedError
-from .graphs import MAX_VERTICES, Graph, bits, permute_masks, twin_quotient
+from .graphs import MAX_VERTICES, Graph, _text_rows, bits, permute_masks, twin_quotient
 
 
 @dataclass(frozen=True)
@@ -475,11 +475,7 @@ def is_indecomposable(F: IntervalFacets) -> bool:
 
 
 def parse_facet_text(text: str) -> IntervalFacets:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            rows.append(line.split())
+    rows = [fields for _, _, fields in _text_rows(text)]
     if not rows or rows[0][0] != "closed" or len(rows[0]) != 3:
         raise GraphInputError("facet text must start with a 'closed n r' header")
     for row in rows[1:]:

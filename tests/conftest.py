@@ -3,7 +3,7 @@ test-only reference implementations that the library does not need."""
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, permutations
 
 import pytest
@@ -45,6 +45,14 @@ SEVEN_NOT_SCM = IntervalFacets(7, ((1, 3), (2, 5), (3, 6), (5, 7)))
 NINE_SCM = IntervalFacets(9, ((1, 3), (2, 6), (3, 7), (4, 8), (5, 9)))
 SEVEN_NOT_ALMOST = IntervalFacets(7, ((1, 4), (3, 6), (5, 7)))
 SEVEN_ALMOST = IntervalFacets(7, ((1, 4), (3, 5), (4, 7)))
+
+
+# Pieces of text-format input: line breaks that str.splitlines honours,
+# in-line whitespace that str.split honours but splitlines does not, and
+# blank and comment lines
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x85")
+SPACES = (" ", "\t", "\xa0", "\u2003", " \t ")
+FILLER = ("", " \t", "\u2003", "# comment", "#1 2", "  # 1 x y")
 
 
 # The engine's homology memos: the profile, CM and pd (depth sweep) caches.
@@ -550,6 +558,50 @@ def prime_complex_union_ref(F: IntervalFacets) -> frozenset[int]:
             join = [f | g for f in join for g in stairs]
         facets += join
     return maximal_masks_ref(facets)
+
+
+def leaf_recursion_ref(F: IntervalFacets) -> frozenset[int] | None:
+    """The facet sizes of the oracle complex by the leaf recursion, or
+    None when that complex is not sequentially CM.
+
+    in(J_G) is the edge ideal of the bipartite graph H with edges x_i y_j
+    for the edges i < j of G (the oracle's coordinates: x_i at bit i - 1,
+    y_j at bit n + j - 1), so the oracle complex is the independence
+    complex of H.  For a bipartite graph, SCM, shellable and vertex
+    decomposable coincide (Van Tuyl-Villarreal, JCTA 2008; Van Tuyl, Arch.
+    Math. 2009), and a leaf decides it: with x a leaf and y its neighbour,
+    H is SCM iff H - N[x] and H - N[y] are, and every facet holds x or y,
+    so each facet is x or y added to a facet of one of the two.  An
+    isolated vertex is a cone point and adds 1 to every facet size; a
+    graph with no edge has the one facet of its isolated vertices, and a
+    graph with edges but no leaf is not SCM.  Memoised on the mask of the
+    live vertices.  No homology, cut set or classifier code is used.
+    """
+    n = F.n
+    nbr = [0] * (2 * n)
+    for i, j in build_graph_ref(F).edges():
+        nbr[i - 1] |= 1 << (n + j - 1)
+        nbr[n + j - 1] |= 1 << (i - 1)
+
+    @cache
+    def sizes(live: int) -> frozenset[int] | None:
+        cones = [b for b in bits(live) if not nbr[b] & live]
+        live &= ~sum(1 << b for b in cones)
+        if not live:
+            return frozenset({len(cones)})
+        for b in bits(live):
+            y = nbr[b] & live
+            if y.bit_count() == 1:
+                break
+        else:
+            return None
+        x = 1 << b
+        branches = sizes(live & ~(x | y)), sizes(live & ~(nbr[y.bit_length() - 1] | y))
+        if None in branches:
+            return None
+        return frozenset(len(cones) + 1 + s for sub in branches for s in sub)
+
+    return sizes((1 << 2 * n) - 1)
 
 
 def vertex_connectivity_ref(G: Graph) -> int:

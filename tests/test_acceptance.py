@@ -34,6 +34,7 @@ from conftest import (
     SEVEN_NOT_ALMOST,
     SEVEN_NOT_SCM,
     boundary_matrices,
+    leaf_recursion_ref,
     num_edges,
     reverse_facets,
     vertex_connectivity_ref,
@@ -260,3 +261,35 @@ def test_criterion_9_scm_depth_is_least_facet_size(oracle_sweep_n8):
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _report(9, f"depth = least facet size on {scm} SCM graphs ({short} non-SCM fall short)", t0)
+
+
+def test_criterion_10_leaf_recursion_derives_the_scm_verdicts(oracle_sweep_n8):
+    # the oracle complex is the independence complex of a bipartite graph,
+    # where SCM is decided by a leaf recursion that also yields the facet
+    # sizes: dim is the largest, CM is SCM with one size, and an SCM
+    # complex has depth equal to the least (criterion 9).  A third
+    # derivation of the SCM verdict that shares no code with the homology
+    # engine, the cut sets or the classifier
+    t0 = time.time()
+    for F, _, rep in oracle_sweep_n8:
+        sizes = leaf_recursion_ref(F)
+        scm = sizes is not None
+        assert scm == rep.scm, F.facets
+        assert rep.cm == (scm and len(sizes) == 1), F.facets
+        if scm:
+            assert (max(sizes), min(sizes)) == (rep.dim_quotient, rep.depth), F.facets
+    for n in range(1, 11):
+        count = 0
+        for F in enumerate_closed_connected(n):
+            c = classify_facets(F)
+            sizes = leaf_recursion_ref(F)
+            scm = sizes is not None
+            assert scm == c.scm, F.facets
+            assert c.cm == (scm and len(sizes) == 1), F.facets
+            if scm:
+                assert max(sizes) == c.krull_dim, F.facets
+            count += scm
+    assert count == 2986  # of the 4,862 graphs with n = 10
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+    _report(10, f"leaf recursion = oracle on n <= 8, = classifier on n <= 10 ({count} SCM at n = 10)", t0)

@@ -21,6 +21,9 @@ from edgeideals.graphs import (
 )
 
 from conftest import (
+    FILLER,
+    LINE_BREAKS,
+    SPACES,
     all_graphs,
     complete_graph,
     components_ref,
@@ -221,11 +224,6 @@ def test_edge_list_error_messages():
 
 
 
-# line breaks that str.splitlines honours, and in-line whitespace that
-# str.split honours but splitlines does not
-LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x85")
-SPACES = (" ", "\t", "\xa0", "\u2003", " \t ")
-FILLER = ("", " \t", "\u2003", "# comment", "#1 2", "  # 1 x y")
 JUNK = ("x", "#2", "1.5", "-1", "0", "65", "+3", "\u0663", "1_0", "0x1", "")
 
 

@@ -15,7 +15,7 @@ from edgeideals.cli import EXIT_MISMATCH, EXIT_OK, RunConfig, run
 from edgeideals.closed import IntervalFacets, format_facet_text, parse_facet_text
 from edgeideals.graphs import from_edge_list, parse_edge_list
 
-from conftest import format_edge_list
+from conftest import FILLER, LINE_BREAKS, SPACES, format_edge_list
 
 
 @st.composite
@@ -41,6 +41,29 @@ def graphs(draw, max_n=64):
 @settings(max_examples=300, deadline=None)
 def test_facet_text_round_trip(F):
     assert parse_facet_text(format_facet_text(F)) == F
+
+
+@st.composite
+def padded_facet_texts(draw):
+    """A facet sequence and its text with comments, blank lines, mixed
+    in-line whitespace and any line break str.splitlines honours."""
+    F = draw(facet_sequences(12))
+    rows = [["closed", str(F.n), str(F.r)]] + [[str(a), str(b)] for a, b in F.facets]
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(FILLER), max_size=2))
+        pad = st.sampled_from(("",) + SPACES)
+        lines.append(draw(pad) + draw(st.sampled_from(SPACES)).join(row) + draw(pad))
+    lines += draw(st.lists(st.sampled_from(FILLER), max_size=2))
+    breaks = st.sampled_from(LINE_BREAKS + ("\u2028",))
+    return F, "".join(line + draw(breaks) for line in lines)
+
+
+@given(padded_facet_texts())
+@settings(max_examples=300, deadline=None)
+def test_facet_text_skips_comments_blank_lines_and_any_line_break(case):
+    F, text = case
+    assert parse_facet_text(text) == parse_facet_text(format_facet_text(F)) == F
 
 
 @given(graphs())
