@@ -38,7 +38,7 @@ print()
 print(f"structural enumeration == exhaustive 2^n sweep: {structural == brute}")
 
 recs = cutsets_structural(F)
-print(f"Krull dimension of S/J_G (2n = 14 variables): {krull_dimension(recs, 7)}")
+print(f"Krull dimension of S/J_G (2n = 14 variables): {krull_dimension(recs)}")
 print(f"unmixed: {is_unmixed(recs)}   "
       f"(the cut set [2,3] gives dimension 7, below 8)")
 print()

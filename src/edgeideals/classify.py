@@ -7,21 +7,26 @@ which splits the quotient as a tensor product up to a regular sequence).
 One `decompose_blocks` pass yields both: the blocks, and the components
 as the runs of blocks that meet in a vertex.
 
-Verdicts for a connected closed graph on [n] with facets F_1..F_r:
+Verdicts for a connected closed graph on [n] with facets F_1..F_r, all
+read off the endpoint runs and the intersections W_i = F_i n F_{i+1}:
 
-  * Cohen-Macaulay      iff every consecutive intersection W_i has size 1,
-                        i.e. the facets are [a_1,a_2], [a_2,a_3], ...
-  * sequentially CM     (indecomposable, s >= 3 facets) iff there is a k
-                        such that the upper endpoints of facets 1..k are
-                        consecutive integers and the lower endpoints of
-                        facets k+1..s are consecutive integers.  One or two
-                        facets are always sequentially CM.
-  * almost CM           (indecomposable, not a clique) iff the facets match
-                        one of three shapes: two facets meeting in exactly
+  * Cohen-Macaulay      iff every W_i has size 1, i.e. the facets are
+                        [a_1,a_2], [a_2,a_3], ...; equivalently every block
+                        is a clique.
+  * sequentially CM     per indecomposable block with s facets, iff U + L >= s:
+                        the upper endpoints of the first U facets and the
+                        lower endpoints of the last L facets are consecutive
+                        integers.  The paper asks for a k in [1, s-1] that
+                        splits the facets into two such runs; the least is
+                        k = max(1, s - L).  A single clique has no witness.
+  * almost CM           (indecomposable, not a clique) iff r <= 4, every W_i
+                        has exactly two vertices and every inner facet has
+                        three.  Equivalently, the facets match one of the
+                        paper's three shapes: two facets meeting in exactly
                         two vertices; [1,b],[b-1,b+1],[b,n] with
                         3 <= b <= n-2; or [1,b],[b-1,b+1],[b,b+2],[b+1,n]
                         with 3 <= b <= n-3.  Globally: at most one block is
-                        a non-clique and that block matches a shape.
+                        a non-clique and that block passes.
   * approximately CM    iff almost CM (they coincide on closed graphs).
 
 Unmixedness coincides with the Cohen-Macaulay shape for connected closed
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closed import Block, IntervalFacets, decompose_blocks, is_indecomposable, recognize_closed
+from .closed import IntervalFacets, decompose_blocks, is_indecomposable, recognize_closed
 from .errors import NotClosedError
 from .graphs import Graph
 
@@ -64,58 +69,44 @@ class Classification:
 def is_scm_indecomposable(F: IntervalFacets) -> tuple[bool, int | None]:
     """Sequential-CM test for an indecomposable connected block.
 
-    For s >= 3 facets (alpha_m, beta_m) the condition asks for a k in
-    [1, s-1] with
-        beta_j  = beta_1 + (j - 1)            for j = 1..k     (uppers run)
-        alpha_m = alpha_s - (s - m)           for m = k+1..s   (lowers run)
-    and we report the least such k.  A single clique is CM, and a two-facet
-    block is always sequentially CM with the vacuous witness k = 1.
+    U and L are the longest leading run of consecutive upper endpoints and
+    the longest trailing run of consecutive lower endpoints of the s
+    facets.  A witness k in [1, s-1] of the paper's condition needs
+    s - L <= k <= U, so the block is sequentially CM iff U + L >= s, with
+    least witness k = max(1, s - L).  A single clique is CM, with no witness.
     """
     if not is_indecomposable(F):
         raise ValueError("expected an indecomposable connected facet sequence")
     s = F.r
     if s == 1:
         return True, None
-    if s == 2:
-        return True, 1
-    alpha = [a for a, _ in F.facets]
-    beta = [b for _, b in F.facets]
-    for k in range(1, s):
-        uppers = all(beta[j - 1] == beta[0] + (j - 1) for j in range(1, k + 1))
-        lowers = all(alpha[m - 1] == alpha[s - 1] - (s - m) for m in range(k + 1, s + 1))
-        if uppers and lowers:
-            return True, k
-    return False, None
+    f = F.facets
+    upper = 1
+    while upper < s and f[upper][1] == f[0][1] + upper:
+        upper += 1
+    lower = 1
+    while lower < s and f[s - 1 - lower][0] == f[-1][0] - lower:
+        lower += 1
+    if upper + lower < s:
+        return False, None
+    return True, max(1, s - lower)
 
 
 def is_almost_cm_indecomposable(F: IntervalFacets) -> bool:
-    """Shape test for an indecomposable non-clique block (facet count >= 2)."""
+    """Almost-CM test for an indecomposable non-clique block (facet count >= 2).
+
+    True iff there are at most four facets, every W_i has exactly two
+    vertices and every inner facet three; these are the paper's three
+    shapes, read off their intersection sizes.
+    """
     if not is_indecomposable(F):
         raise ValueError("expected an indecomposable connected facet sequence")
     if F.r < 2:
         raise ValueError("a single clique is CM; this test expects >= 2 facets")
     f = F.facets
-    n = F.n
-    if F.r == 2:
-        (a1, b1), (a2, b2) = f
-        return b1 - a2 + 1 == 2
-    if F.r == 3:
-        b = f[0][1]
-        return 3 <= b <= n - 2 and f == ((1, b), (b - 1, b + 1), (b, n))
-    if F.r == 4:
-        b = f[0][1]
-        return 3 <= b <= n - 3 and f == ((1, b), (b - 1, b + 1), (b, b + 2), (b + 1, n))
-    return False
-
-
-def _almost_cm(blocks: tuple[Block, ...]) -> bool:
-    """Almost CM iff CM, or exactly one non-clique block that matches a shape."""
-    noncliques = [blk for blk in blocks if blk.facets.r >= 2]
-    if not noncliques:
-        return True  # CM: depth = dim
-    if len(noncliques) > 1:
-        return False
-    return is_almost_cm_indecomposable(noncliques[0].facets)
+    return (F.r <= 4
+            and all(b1 - a2 == 1 for (_, b1), (a2, _) in zip(f, f[1:]))
+            and all(b - a == 2 for a, b in f[1:-1]))
 
 
 def classify(G: Graph) -> Classification:
@@ -132,10 +123,13 @@ def classify_facets(F: IntervalFacets) -> Classification:
     blocks = decompose_blocks(F)
     # a block that starts past the previous block's last vertex opens a component
     components = 1 + sum(b.start > a.start + a.n - 1 for a, b in zip(blocks, blocks[1:]))
-    # CM (and unmixed, on closed graphs) iff every W_i is one vertex
-    cm = all(blk.facets.r == 1 for blk in blocks)
+    # CM (and unmixed, on closed graphs) iff every W_i is one vertex, that
+    # is iff every block is a clique; almost CM iff at most one is not, and
+    # that one passes the shape test
+    noncliques = [blk.facets for blk in blocks if blk.facets.r >= 2]
+    cm = not noncliques
     scm_flags = [is_scm_indecomposable(blk.facets) for blk in blocks]
-    almost = _almost_cm(blocks)
+    almost = len(noncliques) < 2 and all(map(is_almost_cm_indecomposable, noncliques))
     return Classification(
         facets=F,
         blocks=tuple(blk.facets for blk in blocks),

@@ -12,7 +12,7 @@ at most one vertex (a gap between components, or a single vertex between
 blocks); the classifier reads components, CM and dimension off that one
 pass.  `_neighbourhoods` yields the closed neighbourhood of each label,
 the interval from the first facet containing it to the last; it builds
-the graph of the facets and certifies recognition's labeling.
+the graph of the facets and certifies recognition's final order.
 
 Recognition runs a three-sweep lexicographic BFS (LBFS then two LBFS+
 sweeps, Corneil's proper-interval scheme) and then *verifies* the
@@ -35,7 +35,7 @@ rank space of the previous order (bit r stands for its r-th vertex), so
 each tie-break is the lowest or the highest bit of the first class.
 Building Q (skipped when G has no twins) and those two sweeps are the
 only relabelings (`permute_masks`) per graph.  The closedness test of the
-expanded third order and the round-trip certificate of the final labeling
+expanded third order and the round-trip certificate of the final order
 stay in G's vertex space: both compare each closed neighbourhood with a
 difference of two prefix masks, the vertices among the first k of an
 order.  So every "yes" is certified in G, and every "no" is complete.
@@ -106,22 +106,6 @@ class ClosedLabeling:
     def n(self) -> int:
         return len(self.perm) - 1
 
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.perm)
-        for old in range(1, len(self.perm)):
-            inv[self.perm[old]] = old
-        return tuple(inv)
-
-    def apply(self, G: Graph) -> Graph:
-        """Relabel G: vertex v of G becomes vertex perm[v] of the result."""
-        if len(self.perm) != G.n + 1 or sorted(self.perm[1:]) != list(range(1, G.n + 1)):
-            raise ValueError(f"labeling {self.perm[1:]} is not a bijection of 1..{G.n}")
-        target = [None] + [p - 1 for p in self.perm[1:]]
-        adj = [0] * (G.n + 1)
-        for v, m in enumerate(permute_masks(G.adj[1:], target), start=1):
-            adj[self.perm[v]] = m
-        return Graph(G.n, tuple(adj))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -166,7 +150,7 @@ def interval_facets(G: Graph) -> IntervalFacets:
     witness of a non-closed labeling is looked for only after it fails.
     An asymmetric adjacency raises GraphInputError, as in recognition: the
     failure path checks symmetry first, and the facets of a passing order
-    go through the round-trip certificate with the identity labeling.
+    go through the round-trip certificate with the identity order.
     """
     F = _closed_order_facets(G.adj, list(range(1, G.n + 1)))
     if F is None:
@@ -176,7 +160,7 @@ def interval_facets(G: Graph) -> IntervalFacets:
             f"labeling is not closed: edge {present} forces pair {missing}",
             witness=witness,
         )
-    _verify_roundtrip(G, ClosedLabeling(tuple(range(G.n + 1))), F)
+    _verify_roundtrip(G, list(range(1, G.n + 1)), F)
     return F
 
 
@@ -348,10 +332,10 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
     another when its flattened tuple is smaller, a proper prefix counting
     as larger (the sentinel n + 1), and equal ones keep the order of the
     sweep, by smallest vertex; no other order of the components makes the
-    global flattened tuple smaller.  The labeling is indexed by G's
-    vertices 1..n.  The returned facets are reproduced exactly by
-    rebuilding the graph from them and applying the inverse labeling
-    (verified before returning).
+    global flattened tuple smaller.  The pieces laid end to end give the
+    final order, whose u-th vertex is labeled u; the graph rebuilt from
+    the returned facets is G under that order (verified before the order
+    is turned into the labeling, indexed by G's vertices 1..n).
 
     `Graph` does not check that its adjacency is symmetric, so each way of
     failing checks it first and raises GraphInputError for an asymmetric
@@ -373,25 +357,25 @@ def recognize_closed(G: Graph) -> tuple[ClosedLabeling, IntervalFacets] | None:
             lo, hi = flat[start] - 1, flat[j - 1]
             fwd = tuple(x - lo for x in flat[start:j])
             rev = tuple(hi + 1 - x for x in reversed(flat[start:j]))
-            order = pi3[lo:hi]
+            piece = pi3[lo:hi]
             if rev < fwd:
-                fwd, order = rev, order[::-1]
-            pieces.append((fwd + (G.n + 1,), order))
+                fwd, piece = rev, piece[::-1]
+            pieces.append((fwd + (G.n + 1,), piece))
             start = j
     pieces.sort(key=lambda p: p[0])
-    perm = [0] * (G.n + 1)
+    order = []
     facets = []
-    offset = 0
-    for key, order in pieces:
-        for pos, v in enumerate(order, start=offset + 1):
-            perm[v] = pos
+    for key, piece in pieces:
         ends = iter(key[:-1])
+        offset = len(order)
         facets.extend((a + offset, b + offset) for a, b in zip(ends, ends))
-        offset += len(order)
-    labeling = ClosedLabeling(tuple(perm))
+        order.extend(piece)
     result = IntervalFacets(G.n, tuple(facets))
-    _verify_roundtrip(G, labeling, result)
-    return labeling, result
+    _verify_roundtrip(G, order, result)
+    perm = [0] * (G.n + 1)
+    for pos, v in enumerate(order, start=1):
+        perm[v] = pos
+    return ClosedLabeling(tuple(perm)), result
 
 
 def _require_symmetric(G: Graph) -> None:
@@ -406,24 +390,23 @@ def _require_symmetric(G: Graph) -> None:
                 )
 
 
-def _verify_roundtrip(G: Graph, labeling: ClosedLabeling, F: IntervalFacets):
-    """Check that the graph of F, relabeled by the inverse labeling, is G.
+def _verify_roundtrip(G: Graph, order: list[int], F: IntervalFacets):
+    """Check that the graph of F is G with order[u - 1] labeled u.
 
-    The labeling must be a bijection of 1..n.  In the graph of F the closed
+    The order must list each of 1..n once.  In the graph of F the closed
     neighbourhood of label u is the interval [lo, hi] of `_neighbourhoods`.
-    With prefix[k] the mask, in G's vertex space, of the
-    vertices labeled 1..k, that interval is prefix[hi] ^ prefix[lo - 1],
-    and it must equal the closed neighbourhood in G of the vertex labeled u.
+    With prefix[k] the mask, in G's vertex space, of the first k vertices
+    of the order, that interval is prefix[hi] ^ prefix[lo - 1], and it must
+    equal the closed neighbourhood in G of order[u - 1].
     """
     n = G.n
-    if F.n != n or sorted(labeling.perm[1:]) != list(range(1, n + 1)):
+    if F.n != n or sorted(order) != list(range(1, n + 1)):
         _require_symmetric(G)
         raise AssertionError("recognition round-trip: the labeling is not a bijection of 1..n")
-    inv = labeling.inverse()
     prefix = [0]
-    for v in inv[1:]:
+    for v in order:
         prefix.append(prefix[-1] | 1 << (v - 1))
-    for v, (lo, hi) in zip(inv[1:], _neighbourhoods(F)):
+    for v, (lo, hi) in zip(order, _neighbourhoods(F)):
         if prefix[hi] ^ prefix[lo - 1] != G.adj[v] | 1 << (v - 1):
             _require_symmetric(G)
             raise AssertionError("recognition round-trip failed to reproduce the input graph")

@@ -90,8 +90,11 @@ face cap: `depth_hochster` is the only entry, and `_pd_cache` keeps its pd.
 Duval's criterion and the oracle's Goodarzi check ask about the same
 subcomplexes, one per distinct facet size, and `truncations` lists them
 for both; the list only chooses them.  The depth sweep never looks at
-links, so depth against link depth and Goodarzi against Duval compare
-independent code paths.
+links, so depth and link depth are computed by independent code paths,
+from restrictions and from links.  The two verdicts are not: the oracle's
+Smith check, depth == 1 + min(link depth, dim) on each of those
+subcomplexes, forces Goodarzi's verdict to equal Duval's whenever a
+report exists.
 """
 
 from __future__ import annotations

@@ -168,12 +168,12 @@ def cutsets_structural(F: IntervalFacets) -> tuple[CutSetRecord, ...]:
     return tuple(sorted(records, key=CutSetRecord.sort_key))
 
 
-def krull_dimension(records, n: int) -> int:
-    """max over minimal primes of n + c(W) - |W| (dimension in 2n variables)."""
-    recs = list(records)
-    if not recs:
+def krull_dimension(records) -> int:
+    """max over minimal primes of dim = n - |W| + c(W) (dimension in 2n variables)."""
+    dims = [r.dim for r in records]
+    if not dims:
         raise ValueError("need at least the empty cut set")
-    return max(n + r.c - len(r.W) for r in recs)
+    return max(dims)
 
 
 def is_unmixed(records) -> bool:
@@ -182,5 +182,4 @@ def is_unmixed(records) -> bool:
     base = next((r for r in recs if not r.W), None)
     if base is None:
         raise ValueError("record collection must contain the empty cut set")
-    return all(r.c == len(r.W) + base.c for r in recs)
-
+    return all(r.dim == base.dim for r in recs)

@@ -8,18 +8,19 @@ builds its Stanley-Reisner complex on 2n vertices and computes dimension,
 depth, Cohen-Macaulayness (Reisner), sequential CM-ness and the derived
 almost/approximately-CM verdicts, all by exact rational homology.
 
-Sequential CM-ness is decided twice, by two independent code paths.
-Duval's criterion runs in link form: for each i, the subcomplex generated
-by the facets with more than i vertices must have no reduced homology in
-any face link below degree i - |face|.  Goodarzi's filtration criterion
-asks the same subcomplexes for depth >= i + 1, read off the Hochster
-sweep over the unions of minimal nonfaces, which never looks at links.
-Both ask once per distinct facet size, since the subcomplex only changes
-there, and each reads one memoised integer per subcomplex: its link depth
-or its Hochster depth.  The two are checked against each other on every
-such subcomplex: depth == 1 + min(link depth, dim) (Smith 1990).  On the
-whole complex this implies that Reisner's verdict agrees with
-depth == dim (Auslander-Buchsbaum).
+Sequential CM-ness is computed twice, once per distinct facet size s on
+the subcomplex generated by the facets with at least s vertices (it only
+changes there).  Duval's criterion, in link form, asks that no face link
+has reduced homology below degree s - 1 - |face|, i.e. link depth >=
+s - 1; Goodarzi's filtration criterion asks for depth >= s.  Each reads
+one memoised integer per subcomplex.  The oracle raises unless depth ==
+1 + min(link depth, dim) (Smith 1990) on every such subcomplex, and each
+has dim >= s - 1, so whenever a report exists scm == scm_goodarzi: their
+agreement restates the Smith check.  What is independent is how each
+integer is computed: the link depth from face links, the depth from the
+Hochster sweep over restrictions to unions of minimal nonfaces, which
+never looks at links.  On the whole complex the Smith check likewise
+makes Reisner's verdict agree with depth == dim (Auslander-Buchsbaum).
 
 One oracle call walks the truncations once: the complex lists them
 (`SimplicialComplex.truncations`) and canonicalizes each once
@@ -61,9 +62,11 @@ class OracleReport:
     """Homological verdicts for S/in(J_G) in 2n variables.
 
     scm is Duval's criterion in link form; scm_goodarzi is the filtration
-    criterion through the Hochster depth sweep, recorded separately (their
-    agreement is a checked invariant, not an assumption).  almost_cm is
-    depth >= dim - 1 and approx_cm is almost_cm together with scm.
+    criterion through the Hochster depth sweep, recorded separately.  The
+    Smith check that every report passes forces scm == scm_goodarzi; only
+    how each is computed, from links or from restrictions, is independent.
+    almost_cm is depth >= dim - 1 and approx_cm is almost_cm together with
+    scm.
     """
 
     dim_quotient: int

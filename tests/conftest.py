@@ -738,3 +738,33 @@ def wsize_chain_check(F: IntervalFacets) -> bool:
         if chain and uppers and lowers:
             return True
     return False
+
+
+def scm_least_k_ref(F: IntervalFacets) -> int | None:
+    """The least k of the paper's sequential-CM condition, or None.
+
+    For an indecomposable block with s facets (alpha_m, beta_m), k in
+    [1, s-1] is a witness when the upper endpoints of facets 1..k and the
+    lower endpoints of facets k+1..s run through consecutive integers.
+    Returns None when no k qualifies, and so for a single clique.
+    """
+    s = F.r
+    alpha = [a for a, _ in F.facets]
+    beta = [b for _, b in F.facets]
+    for k in range(1, s):
+        uppers = all(beta[j - 1] == beta[0] + (j - 1) for j in range(1, k + 1))
+        lowers = all(alpha[m - 1] == alpha[s - 1] - (s - m) for m in range(k + 1, s + 1))
+        if uppers and lowers:
+            return k
+    return None
+
+
+def almost_cm_shapes_ref(n: int) -> set[tuple[tuple[int, int], ...]]:
+    """The facet tuples of the paper's three almost-CM shapes on [n]:
+    two facets meeting in exactly two vertices, [1,b],[b-1,n];
+    [1,b],[b-1,b+1],[b,n] with 3 <= b <= n-2; and
+    [1,b],[b-1,b+1],[b,b+2],[b+1,n] with 3 <= b <= n-3."""
+    shapes = {((1, b), (b - 1, n)) for b in range(3, n)}
+    shapes |= {((1, b), (b - 1, b + 1), (b, n)) for b in range(3, n - 1)}
+    shapes |= {((1, b), (b - 1, b + 1), (b, b + 2), (b + 1, n)) for b in range(3, n - 2)}
+    return shapes

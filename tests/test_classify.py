@@ -23,11 +23,13 @@ from conftest import (
     SEVEN_ALMOST,
     SEVEN_NOT_ALMOST,
     SEVEN_NOT_SCM,
+    almost_cm_shapes_ref,
     blocks_ref,
     claw,
     disconnected_facets,
     path_graph,
     relabel,
+    scm_least_k_ref,
     split_components_ref,
     wsize_chain_check,
 )
@@ -81,6 +83,13 @@ def test_scm_witness_is_least():
     F = IntervalFacets(8, ((1, 4), (2, 5), (4, 7), (5, 8)))
     ok, k = is_scm_indecomposable(F)
     assert ok and k == 2
+    # the verdict and least k of the run counts, against the paper's search
+    # over k, on every indecomposable block with n <= 9
+    for n in range(1, 10):
+        for F in enumerate_closed_indecomposable(n):
+            k = scm_least_k_ref(F)
+            want = (True, None) if F.r == 1 else (k is not None, k)
+            assert is_scm_indecomposable(F) == want, F.facets
 
 
 def test_scm_indecomposable_rejects_decomposable():
@@ -92,12 +101,6 @@ def test_wsize_chain_examples():
     assert wsize_chain_check(NINE_SCM)
     assert not wsize_chain_check(SEVEN_NOT_SCM)
     assert wsize_chain_check(IntervalFacets(4, ((1, 3), (2, 4))))
-
-
-def test_wsize_chain_matches_main_condition_exhaustive():
-    for n in range(2, 10):
-        for F in enumerate_closed_indecomposable(n):
-            assert wsize_chain_check(F) == is_scm_indecomposable(F)[0], F.facets
 
 
 def test_is_scm_closed_reductions():
@@ -129,6 +132,15 @@ def test_almost_cm_shapes():
     assert not is_almost_cm_indecomposable(
         IntervalFacets(7, ((1, 3), (2, 4), (3, 5), (4, 6), (5, 7)))
     )
+    # the intersection-size test against the paper's three shapes, on every
+    # indecomposable non-clique block with n <= 10; each shape is met
+    for n in range(2, 11):
+        shapes = almost_cm_shapes_ref(n)
+        passing = set()
+        for F in enumerate_closed_indecomposable(n):
+            if F.r >= 2 and is_almost_cm_indecomposable(F):
+                passing.add(F.facets)
+        assert passing == shapes, n
 
 
 def test_almost_cm_closed_block_rules():
@@ -179,7 +191,7 @@ def test_cm_iff_unmixed_vs_cutset_module():
             cl = classify_facets(F)
             assert cl.cm == is_unmixed(recs), F.facets
             assert cl.unmixed == is_unmixed(recs), F.facets
-            assert cl.krull_dim == krull_dimension(recs, n), F.facets
+            assert cl.krull_dim == krull_dimension(recs), F.facets
 
 
 def test_implication_lattice_exhaustive():

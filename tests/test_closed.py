@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from edgeideals.closed import (
     Block,
-    ClosedLabeling,
     IntervalFacets,
     _closed_order_facets,
     _lbfs,
@@ -505,26 +504,22 @@ def test_recognition_relabels_twice_per_graph(monkeypatch):
 # -- relabeling and certification ----------------------------------------------
 
 
-def test_closed_labeling_apply_matches_edge_relabel():
-    rng = random.Random(41)
-    for n in (1, 2, 3, 4, 5, 17, 63, 64):
-        G = _random_graph(n, rng)
-        p = list(range(1, n + 1))
-        rng.shuffle(p)
-        assert ClosedLabeling((0, *p)).apply(G) == relabel(G, {v: p[v - 1] for v in range(1, n + 1)})
-
-
 def test_roundtrip_check_rejects_wrong_facets_or_labeling():
     G = path_graph(4)
     lab, F = recognize_closed(G)
-    _verify_roundtrip(G, lab, F)
+    order = sorted(range(1, 5), key=lab.perm.__getitem__)
+    _verify_roundtrip(G, order, F)
     for facets in (((1, 2), (2, 4)), ((1, 2), (3, 4)), ((1, 4),), ((1, 1), (2, 3), (3, 4))):
-        with pytest.raises(AssertionError, match="round-trip"):
-            _verify_roundtrip(G, lab, IntervalFacets(4, facets))
-    # a wrong bijection, then labelings that are no bijection of 1..4
-    for perm in ((0, 2, 1, 3, 4), (0, 1, 2, 2, 4), (0, 0, 1, 2, 3), (0, 1, 2, 3)):
-        with pytest.raises(AssertionError, match="round-trip"):
-            _verify_roundtrip(G, ClosedLabeling(perm), F)
+        with pytest.raises(AssertionError, match="round-trip failed"):
+            _verify_roundtrip(G, order, IntervalFacets(4, facets))
+    # a swapped order, which lists 1..4 once but is not G's
+    with pytest.raises(AssertionError, match="round-trip failed"):
+        _verify_roundtrip(G, [2, 1, 3, 4], F)
+    # orders that do not list 1..4 once: a repeated vertex, a 0, a short
+    # one and a long one, whose first four vertices are G's order
+    for bad in ([1, 2, 2, 4], [0, 1, 2, 3], [1, 2, 3], [*order, 5]):
+        with pytest.raises(AssertionError, match="round-trip: the labeling is not a bijection"):
+            _verify_roundtrip(G, bad, F)
 
 
 def test_recognition_refuses_an_asymmetric_adjacency():
@@ -578,14 +573,7 @@ def test_recognition_of_induced_subgraphs():
             G = _shuffled(build_graph(F), rng)
             H = _induced(G, set(rng.sample(range(1, n + 1), rng.randint(1, n - 1))))
             lab, FH = recognize_closed(H)
-            assert lab.apply(H) == build_graph(FH)
-
-
-def test_closed_labeling_apply_refuses_non_bijections():
-    G = from_edge_list(3, [(1, 2)])
-    for perm in ((0, 1, 1, 2), (0, 1, 5, 2), (0, 1, 2), (0, 0, 1, 2), (0, 1, 2, 3, 4)):
-        with pytest.raises(ValueError, match="not a bijection"):
-            ClosedLabeling(perm).apply(G)
+            assert relabel(H, dict(enumerate(lab.perm[1:], 1))) == build_graph(FH)
 
 
 # -- the facet-list walks against the reference code ---------------------------

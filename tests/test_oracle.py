@@ -292,7 +292,7 @@ def test_oracle_agrees_with_classifier_n5():
         rep = oracle_classify_facets(F)
         c = classify_facets(F)
         assert rep.dim_quotient == c.krull_dim
-        assert rep.dim_quotient == krull_dimension(cutsets_structural(F), F.n)
+        assert rep.dim_quotient == krull_dimension(cutsets_structural(F))
         assert (rep.cm, rep.scm, rep.almost_cm, rep.approx_cm) == (
             c.cm, c.scm, c.almost_cm, c.approx_cm,
         )
