@@ -150,8 +150,11 @@ def interval_facets(G: Graph) -> IntervalFacets:
     witness of a non-closed labeling is looked for only after it fails.
     An asymmetric adjacency raises GraphInputError, as in recognition: the
     failure path checks symmetry first, and the facets of a passing order
-    go through the round-trip certificate with the identity order.
+    go through the round-trip certificate with the identity order.  A
+    graph with no vertex is refused, as in recognition.
     """
+    if G.n < 1:
+        raise GraphInputError("recognition needs at least one vertex")
     F = _closed_order_facets(G.adj, list(range(1, G.n + 1)))
     if F is None:
         _require_symmetric(G)

@@ -70,7 +70,8 @@ Depth is computed by the projective-dimension sweep of Hochster's formula
 over the LCM lattice of the face ideal: the unions of minimal nonfaces
 (Gasharov-Peeva-Welker 1999).  Every other vertex subset restricts to a
 cone and contributes nothing.  The minimal nonfaces are the minimal
-transversals of the facet complements (Berge's algorithm); their unions
+transversals of the facet complements (`graphs.minimal_transversals`,
+Berge's algorithm, which also builds the oracle complex); their unions
 are closed up one nonface at a time, and the sweep visits them by
 descending size, stopping as soon as smaller subsets cannot beat the best
 contribution found.  A restriction is the join of its restrictions to the
@@ -104,7 +105,7 @@ from functools import cached_property, reduce
 from operator import and_
 
 from .errors import ResourceCapError
-from .graphs import bits, components, mask_of, union_of, union_table, vertices_of
+from .graphs import bits, components, mask_of, minimal_transversals, union_of, union_table, vertices_of
 from .linalg import rank_sparse_pm
 
 DEFAULT_FACE_CAP = 1 << 20
@@ -268,26 +269,12 @@ def _minimal_nonfaces(facet_masks) -> list[int]:
 
     A subset of the support is a nonface exactly when it meets the
     complement of every facet, so the minimal nonfaces are the minimal
-    transversals of the facet complements.  Berge's algorithm adds one
-    complement at a time: a transversal that meets it stays; one that
-    misses it grows by each vertex of the complement, and the grown set is
-    minimal unless it contains a transversal that stayed.  For a flag
-    complex the result is exactly its non-edges.
+    transversals of the facet complements (`graphs.minimal_transversals`,
+    Berge's algorithm), sorted.  For a flag complex they are exactly its
+    non-edges.
     """
     support = union_of(facet_masks)
-    trans = [0]
-    for f in facet_masks:
-        comp = support & ~f
-        kept = [t for t in trans if t & comp]
-        grown = []
-        for t in trans:
-            if not t & comp:
-                for b in bits(comp):
-                    g = t | 1 << b
-                    if not any(k & g == k for k in kept):
-                        grown.append(g)
-        trans = kept + grown
-    return sorted(trans)
+    return sorted(minimal_transversals(support & ~f for f in facet_masks))
 
 
 def _boundary_column(m: int) -> dict[int, int]:

@@ -192,32 +192,42 @@ def components(table, within: int):
         within ^= cc
 
 
-def _bron_kerbosch(adj: tuple[int, ...], R: int, P: int, X: int, out: list[int]):
-    # pivoting branch and bound; fine for n <= 64
-    if P == 0 and X == 0:
-        out.append(R)
-        return
-    pivot = -1
-    best = -1
-    for b in bits(P | X):
-        d = (P & adj[b + 1]).bit_count()
-        if d > best:
-            best, pivot = d, b
-    for b in bits(P & ~adj[pivot + 1]):
-        v = 1 << b
-        _bron_kerbosch(adj, R | v, P & adj[b + 1], X & adj[b + 1], out)
-        P &= ~v
-        X |= v
+def minimal_transversals(sets) -> list[int]:
+    """Minimal transversals of a family of masks (Berge's algorithm).
+
+    A transversal meets every set of the family.  Sets are added one at a
+    time: a transversal that meets the new set stays; one that misses it
+    grows by each of its bits, and the grown mask is minimal unless it
+    contains a transversal that stayed.  The empty family has the one
+    transversal 0; a family holding 0 has none.  The family's order sets
+    the cost and the order of the result.
+    """
+    trans = [0]
+    for s in sets:
+        kept = [t for t in trans if t & s]
+        grown = []
+        for t in trans:
+            if not t & s:
+                for b in bits(s):
+                    g = t | 1 << b
+                    if not any(k & g == k for k in kept):
+                        grown.append(g)
+        trans = kept + grown
+    return trans
 
 
 def clique_degree(G: Graph, v: int) -> int:
-    """Number of maximal cliques containing v; v is a free vertex iff 1."""
+    """Number of maximal cliques containing v; v is a free vertex iff 1.
+
+    They are the maximal cliques of G[N(v)] with v added, whose
+    complements in N(v) are the minimal transversals of the non-edges
+    inside N(v).
+    """
     if not 1 <= v <= G.n:
         raise GraphInputError(f"vertex {v} outside 1..{G.n}")
-    b = 1 << (v - 1)
-    out: list[int] = []
-    _bron_kerbosch(G.adj, 0, G.full_mask, 0, out)
-    return sum(1 for m in out if m & b)
+    nv = G.adj[v]
+    non_edges = [1 << a | 1 << b for a in bits(nv) for b in bits(nv & ~G.adj[a + 1]) if b > a]
+    return len(minimal_transversals(non_edges))
 
 
 def simplicial_mask(G: Graph) -> int:

@@ -54,7 +54,7 @@ from .complexes import (
     link_depth,
 )
 from .errors import NotClosedError
-from .graphs import Graph, _bron_kerbosch, union_of
+from .graphs import Graph, minimal_transversals, union_of
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,23 @@ def stanley_reisner_complex(gens, n: int) -> SimplicialComplex:
 
     Vertex i is x_i and vertex n + j is y_j; faces are the subsets
     containing no pair {i, n+j} with (i, j) a generator, i.e. independent
-    sets of the graph H with those edges.  Facets are the maximal
-    independent sets.  Quadratic generators guarantee every vertex is a
-    face, which is asserted.
+    sets of the bipartite graph H with those edges.  Facets are the
+    maximal independent sets, the complements of the minimal vertex covers
+    of H, which are the minimal transversals of its edges
+    (`graphs.minimal_transversals`, fed the edges in sorted order).
+    Quadratic generators guarantee every vertex is a face, which is
+    asserted.
     """
-    m = 2 * n
-    adj = [0] * (m + 1)  # H adjacency, 1-based
-    for i, j in gens:
+    edges = []
+    for i, j in sorted(gens):  # frozenset order made Berge 3-4x slower at n = 9
         if not (1 <= i < j <= n):
             raise ValueError(f"generator ({i},{j}) must satisfy 1 <= i < j <= n")
-        adj[i] |= 1 << (n + j - 1)
-        adj[n + j] |= 1 << (i - 1)
-    full = (1 << m) - 1
-    comp = [0] * (m + 1)
-    for v in range(1, m + 1):
-        comp[v] = full & ~adj[v] & ~(1 << (v - 1))
-    out: list[int] = []
-    _bron_kerbosch(tuple(comp), 0, full, 0, out)  # maximal cliques of the complement
+        edges.append(1 << (i - 1) | 1 << (n + j - 1))
+    full = (1 << 2 * n) - 1
+    out = [full ^ t for t in minimal_transversals(edges)]
     if union_of(out) != full:
         raise AssertionError("quadratic generators must leave every vertex a face")
-    return SimplicialComplex(m, frozenset(out))
+    return SimplicialComplex(2 * n, frozenset(out))
 
 
 def goodarzi_check(

@@ -31,7 +31,6 @@ from edgeideals.enumerators import random_closed
 from edgeideals.errors import GraphInputError, NotClosedError
 from edgeideals.graphs import (
     Graph,
-    _bron_kerbosch,
     bits,
     from_edge_list,
     mask_of,
@@ -107,10 +106,14 @@ def num_edges(G: Graph) -> int:
 
 
 def maximal_cliques(G: Graph) -> tuple[tuple[int, ...], ...]:
-    """All maximal cliques of G, deterministically sorted."""
-    out: list[int] = []
-    _bron_kerbosch(G.adj, 0, G.full_mask, 0, out)
-    return tuple(sorted(vertices_of(m) for m in out))
+    """All maximal cliques of G, sorted, by brute force over the 2^n
+    vertex subsets: a clique is maximal when no other vertex is adjacent
+    to all of it.  Meant for n <= 7."""
+    cliques = [m for m in range(1 << G.n) if all(m & ~G.adj[b + 1] == 1 << b for b in bits(m))]
+    return tuple(sorted(
+        vertices_of(m) for m in cliques
+        if not any(m & ~G.adj[w] == 0 for w in range(1, G.n + 1) if not m >> (w - 1) & 1)
+    ))
 
 
 def format_edge_list(G: Graph) -> str:

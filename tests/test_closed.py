@@ -137,6 +137,13 @@ def test_recognize_disconnected_layout():
     assert len(decompose_blocks(F)) == 2
 
 
+def test_no_vertex_is_refused():
+    # both entries refuse n = 0 with one error, before any facet is built
+    for entry in (interval_facets, recognize_closed):
+        with pytest.raises(GraphInputError, match="recognition needs at least one vertex"):
+            entry(Graph(0, (0,)))
+
+
 def test_interval_facets_examples(nine_graph):
     assert interval_facets(path_graph(3)).facets == ((1, 2), (2, 3))
     assert interval_facets(complete_graph(4)).facets == ((1, 4),)

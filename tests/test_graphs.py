@@ -14,8 +14,10 @@ from edgeideals.graphs import (
     components,
     from_edge_list,
     mask_of,
+    minimal_transversals,
     parse_edge_list,
     permute_masks,
+    union_of,
     union_table,
     vertices_of,
 )
@@ -154,6 +156,37 @@ def test_clique_degree_examples(seven_graph):
     assert clique_degree(path_graph(3), 2) == 2
     assert clique_degree(complete_graph(4), 1) == 1
     assert clique_degree(seven_graph, 3) == 3  # lives in [1,3],[2,5],[3,6]
+
+
+def test_clique_degree_matches_maximal_cliques_exhaustive():
+    # every labeled graph with n <= 5, C4, C5 and K_{2,3} among them: the
+    # transversal count on N(v) against brute-force maximal cliques of G
+    graphs = [G for n in range(1, 6) for G in all_graphs(n)]
+    assert len(graphs) == 1099
+    for G in graphs:
+        cliques = maximal_cliques(G)
+        for v in range(1, G.n + 1):
+            assert clique_degree(G, v) == sum(1 for c in cliques if v in c), (G.edges(), v)
+
+
+def _minimal_transversals_ref(family):
+    """Minimal hitting sets by brute force over the subsets of the union."""
+    universe = union_of(family)
+    hits = [t for t in range(universe + 1) if t & ~universe == 0 and all(t & s for s in family)]
+    return sorted(t for t in hits if not any(t & ~(1 << b) in hits for b in bits(t)))
+
+
+@settings(max_examples=300, deadline=None)
+@example([])              # the empty family: one transversal, 0
+@example([0])             # holds the empty set: none
+@example([0b101, 0])
+@example([0b11, 0b11, 0b110])   # a duplicate
+@example([0b111, 0b10, 0b1110])  # nested sets
+@example([0b11, 0b1100, 0b110000])
+@given(st.lists(st.integers(0, 63), max_size=7))
+def test_minimal_transversals_match_brute_force(family):
+    # sorted lists, so a repeated transversal would show too
+    assert sorted(minimal_transversals(family)) == _minimal_transversals_ref(family)
 
 
 def test_maximal_cliques_match_facets():

@@ -4,8 +4,11 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgeideals
 from edgeideals import complexes
@@ -70,15 +73,54 @@ def test_stanley_reisner_edgeless_and_k3():
     assert C.dim == 3  # dim S/in = 4 = n + 1
 
 
+def _maximal_independent_ref(gens, n):
+    """Maximal independent sets of H, the graph on [2n] with edges {i, n+j},
+    by brute force over all 2^(2n) vertex subsets."""
+    pairs = [(1 << (i - 1)) | (1 << (n + j - 1)) for i, j in gens]
+
+    def independent(m):
+        return not any(p & m == p for p in pairs)
+
+    return {
+        m for m in range(1 << (2 * n))
+        if independent(m) and not any(independent(m | 1 << b) for b in range(2 * n) if not m >> b & 1)
+    }
+
+
 def test_stanley_reisner_facets_are_maximal_independent_sets():
-    # brute force over all 2^(2n) vertex subsets, every connected closed n <= 4
-    for n in range(1, 5):
-        for F in enumerate_closed_connected(n):
-            gens = initial_ideal_generators(F)
-            pairs = [(1 << (i - 1)) | (1 << (n + j - 1)) for i, j in gens]
-            indep = [m for m in range(1 << (2 * n)) if not any(p & m == p for p in pairs)]
-            maximal = {m for m in indep if not any(m != k and m & k == m for k in indep)}
-            assert stanley_reisner_complex(gens, n).mask_key == maximal, F.facets
+    # every generator set with n <= 3, fed in two orders, and the generator
+    # sets of the connected closed graphs with n = 4
+    cases = [
+        (n, [p for k, p in enumerate(combinations(range(1, n + 1), 2)) if code >> k & 1])
+        for n in range(1, 4) for code in range(1 << (n * (n - 1) // 2))
+    ]
+    assert len(cases) == 11
+    cases += [(4, sorted(initial_ideal_generators(F))) for F in enumerate_closed_connected(4)]
+    for n, gens in cases:
+        want = _maximal_independent_ref(gens, n)
+        assert stanley_reisner_complex(gens, n).mask_key == want, gens
+        assert stanley_reisner_complex(gens[::-1], n).mask_key == want, gens
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(4, 5))
+    pairs = draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2)))))
+    return n, draw(st.permutations(sorted(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_stanley_reisner_complex_matches_brute_force_sampled(case):
+    # any generator set with n = 4 or 5, in any order
+    n, gens = case
+    assert stanley_reisner_complex(gens, n).mask_key == _maximal_independent_ref(gens, n)
+
+
+def test_stanley_reisner_complex_refuses_a_bad_generator():
+    for gens in [{(2, 1)}, {(1, 1)}, {(0, 2)}, {(1, 2), (2, 4)}]:
+        with pytest.raises(ValueError, match="must satisfy 1 <= i < j <= n"):
+            stanley_reisner_complex(gens, 3)
 
 
 def test_depth_matches_reference_on_every_truncation_n6():
